@@ -2,7 +2,7 @@
 // Sv39 pages (three-level fine mappings, no superpages on the data path) with a
 // periodic full sfence.vma. bench_sim_speed's compute loop barely translates —
 // this guest translates on every third instruction, so it measures the win where
-// the TLB matters and pins down the ablation (`tuning.tlb_enabled = false`) cost.
+// the TLB matters and pins down the ablation (`tuning.tlb_entries = 0`) cost.
 // Emits BENCH_tlb_stress.json with both throughputs, the speedup, the hit rate,
 // and a cycle-fidelity check (the TLB must not change simulated cycles).
 
@@ -31,9 +31,11 @@ constexpr unsigned kSweepsPerFence = 64;
 // of kPages fine-mapped pages, then repeat; every kSweepsPerFence sweeps, a full
 // sfence.vma. Page tables are built host-side with A/D preset so the steady state
 // performs no PTE writes.
-std::unique_ptr<Machine> BuildMachine(bool tlb_enabled) {
+std::unique_ptr<Machine> BuildMachine(bool with_tlb) {
   MachineConfig config;
-  config.tuning.tlb_enabled = tlb_enabled;
+  if (!with_tlb) {
+    config.tuning.tlb_entries = 0;
+  }
   // Host-speed measurement setup: batch as long as possible so the run loop's
   // per-batch bookkeeping does not drown the translation cost under test. The
   // guest never reads time and takes no interrupts, so stretching the timebase
@@ -113,8 +115,8 @@ struct RunStats {
   uint64_t cycles = 0;
 };
 
-RunStats Measure(bool tlb_enabled) {
-  std::unique_ptr<Machine> machine = BuildMachine(tlb_enabled);
+RunStats Measure(bool with_tlb) {
+  std::unique_ptr<Machine> machine = BuildMachine(with_tlb);
   machine->RunUntilFinished(200'000);  // warm-up: first sweeps, caches filled
   const Hart& hart = machine->hart(0);
   const uint64_t start_instret = machine->total_instret();
@@ -140,8 +142,8 @@ RunStats Measure(bool tlb_enabled) {
 }
 
 int Run() {
-  const RunStats with_tlb = Measure(/*tlb_enabled=*/true);
-  const RunStats without_tlb = Measure(/*tlb_enabled=*/false);
+  const RunStats with_tlb = Measure(/*with_tlb=*/true);
+  const RunStats without_tlb = Measure(/*with_tlb=*/false);
   const double speedup = without_tlb.mips > 0 ? with_tlb.mips / without_tlb.mips : 0.0;
   // Both runs execute the same guest for the same instruction budget; identical
   // retirement and cycle counts confirm the TLB changed nothing but host speed.

@@ -33,43 +33,41 @@ const LockstepConfig* FindLockstepConfig(const std::string& name) {
   return nullptr;
 }
 
+void ApplyLockstepTuning(const LockstepConfig& config, SimTuning* tuning) {
+  tuning->decode_cache_entries = config.decode_cache_entries;
+  tuning->tlb_entries = config.tlb_entries;
+  tuning->superblock_entries = config.superblock_entries;
+  tuning->quantum_harts = config.quantum_harts;
+  tuning->parallel_harts = config.parallel_harts;
+}
+
 MachineConfig CosimMachineConfig(const CosimProgram& program, const LockstepConfig& config) {
   MachineConfig mc;
   mc.hart_count = program.opts.harts;
   mc.isa.has_time_csr = true;  // richer CSR surface: `time` reads compare, not trap
-  mc.tuning.decode_cache_entries = config.decode_cache_entries;
-  mc.tuning.tlb_entries = config.tlb_entries;
-  mc.tuning.tlb_enabled = config.tlb_enabled;
-  mc.tuning.superblock_entries = config.superblock_entries;
-  mc.tuning.threaded_enabled = config.threaded;
-  mc.tuning.threaded_promote_threshold = config.threaded_threshold;
-  mc.tuning.quantum_harts = config.quantum_harts;
-  mc.tuning.parallel_harts = config.parallel_harts;
+  ApplyLockstepTuning(config, &mc.tuning);
   mc.map.ram_size = CosimLayout::kRamSize;
   return mc;
 }
 
 const std::vector<LockstepConfig>& LockstepConfigs() {
   static const std::vector<LockstepConfig> kConfigs = {
-      {"nocache-notlb", 0, 0, false, 0},      // baseline: every layer interpreted
-      {"dcache-notlb", 16384, 0, false, 0},   // decode cache alone
-      {"nocache-tlb", 0, 4096, true, 0},      // TLB alone
-      {"tiny-dcache-tlb", 64, 64, true, 0},   // both, tiny: exercises aliasing eviction
-      {"superblock", 16384, 4096, true, 2048},  // block engine, threaded tier off
-      {"tiny-superblock", 64, 64, true, 4},   // tiny everything: block aliasing + eviction
-      // Threaded-code tier (DESIGN.md §2g) on top of the full stack: the default
-      // promotion threshold, and an eager threshold-1 + tiny-cache point so every
-      // block runs lowered and invalidation/eviction hit promoted blocks often.
-      {"threaded", 16384, 4096, true, 2048, true, 8},
-      {"threaded-eager", 64, 64, true, 4, true, 1},
+      {"nocache-notlb", 0, 0, 0},        // baseline: every layer interpreted
+      {"dcache-notlb", 16384, 0, 0},     // decode cache alone
+      {"nocache-tlb", 0, 4096, 0},       // TLB alone
+      {"tiny-dcache-tlb", 64, 64, 0},    // both, tiny: exercises aliasing eviction
+      // Block tier (DESIGN.md §2f) over tiny caches, so block aliasing, eviction and
+      // invalidation hit lowered blocks often, and over the full stack.
+      {"tiny-superblock", 64, 64, 4},
+      {"threaded", 16384, 4096, 2048},
       // Deterministic quantum scheduling over the full tier stack (DESIGN.md §2i).
       // "quantum" runs the schedule serially in hart order; "parallel" runs the
       // same schedule with one host thread per hart. On multi-hart programs the
       // pair is compared against each other (bit-identity of the parallel engine
       // is the property under test); single-hart programs bypass both knobs, so
       // there they must match the baseline like any other tuning.
-      {"quantum", 16384, 4096, true, 2048, true, 8, true, false},
-      {"parallel", 16384, 4096, true, 2048, true, 8, false, true},
+      {"quantum", 16384, 4096, 2048, true, false},
+      {"parallel", 16384, 4096, 2048, false, true},
   };
   return kConfigs;
 }

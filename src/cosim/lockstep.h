@@ -32,11 +32,8 @@ namespace vfm {
 struct LockstepConfig {
   const char* name;
   uint32_t decode_cache_entries;
-  uint32_t tlb_entries;
-  bool tlb_enabled;
-  uint32_t superblock_entries = 0;
-  bool threaded = false;             // threaded-code tier over superblocks
-  uint32_t threaded_threshold = 8;   // promotion threshold (1 = promote immediately)
+  uint32_t tlb_entries;               // 0 disables the TLB
+  uint32_t superblock_entries = 0;    // 0 disables the block tier
   // Deterministic quantum scheduling (DESIGN.md §2i). On multi-hart programs these
   // change the guest-visible hart interleaving — the one documented SimTuning
   // exception — so CheckProgram compares quantum-schedule configurations against
@@ -47,13 +44,19 @@ struct LockstepConfig {
   bool parallel_harts = false;
 };
 
-// The decode-cache x TLB x superblock configurations every program runs under. Index
+// The decode-cache x TLB x block-tier configurations every program runs under. Index
 // 0 is the caches-off baseline; the "tiny" entries use deliberately small caches so
-// index-aliasing eviction paths are exercised, not just hits.
+// index-aliasing eviction paths are exercised, not just hits. Look tunings up by name:
+// positions shift whenever the matrix changes.
 const std::vector<LockstepConfig>& LockstepConfigs();
 
 // Looks a configuration up by name ("parallel", "quantum", ...); nullptr if unknown.
 const LockstepConfig* FindLockstepConfig(const std::string& name);
+
+// Overlays a tuning point's knobs onto `tuning`, leaving the fields the matrix does not
+// vary (max_batch_instructions) untouched. The one LockstepConfig -> SimTuning
+// mapping, shared by the cosim runners, the replay tool and the tests.
+void ApplyLockstepTuning(const LockstepConfig& config, SimTuning* tuning);
 
 // The MachineConfig a lockstep run builds for (program, config) — exported so tools
 // can construct bit-identical machines for snapshot/trace repro artifacts.
@@ -102,7 +105,7 @@ struct RunOutcome {
   // Reference-model lockstep (baseline configuration, single-hart programs only).
   uint64_t ref_checks = 0;       // privileged steps checked against RefStep
   std::string ref_divergence;    // first hart-vs-refmodel mismatch, empty if none
-  // Threaded-tier engagement (observability only — tuning-dependent by design, so
+  // Block-tier engagement (observability only — tuning-dependent by design, so
   // deliberately NOT part of CompareOutcomes). Summed over all harts.
   uint64_t threaded_promotions = 0;
   uint64_t threaded_deopts = 0;

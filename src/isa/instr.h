@@ -60,12 +60,12 @@ struct DecodedInstr {
 // Decodes a 32-bit instruction word. Returns op == kInvalid for undecodable words.
 DecodedInstr Decode(uint32_t word);
 
-// How the hart's superblock execution engine (DESIGN.md §2f) may handle an op inside
-// a straight-line block. The split is driven by what can invalidate in-flight block
-// state: kSimple ops only touch GPRs, kMem ops touch memory (fast-pathed, with
-// fallback), kBranch ops redirect control (executed in-block as the block's final
-// instruction), and kBarrier ops can change privilege/CSR/translation/interrupt
-// state, so a block always ends before one.
+// How the hart's block tier (DESIGN.md §2f) may handle an op inside a straight-line
+// block. The split is driven by what can invalidate in-flight block state: kSimple
+// ops only touch GPRs, kMem ops touch memory (fast-pathed, with fallback), kBranch
+// ops redirect control (executed in-block as the block's final instruction), and
+// kBarrier ops can change privilege/CSR/translation/interrupt state, so a block
+// always ends before one.
 enum class SbClass : uint8_t {
   kSimple = 0,
   kMem = 1,
@@ -74,9 +74,9 @@ enum class SbClass : uint8_t {
 };
 SbClass SuperblockClass(Op op);
 
-// Lowered-op vocabulary of the hart's threaded-code tier (DESIGN.md §2g). A promoted
-// superblock is translated into a run of these: operands and sign-extended immediates
-// are baked in at lowering time, `li`/`auipc`+ALU-immediate chains fold into a single
+// Lowered-op vocabulary of the hart's block tier (DESIGN.md §2f). Every superblock is
+// translated into a run of these as it is built: operands and sign-extended
+// immediates are baked in, `li`/`auipc`+ALU-immediate chains fold into a single
 // kConstChain, compare+branch-on-zero pairs fuse (kSlt*B*z), link-less jumps get
 // dedicated forms (kJ/kJr), and loads/stores carry the host-pointer fast path inline.
 // kEnd terminates blocks that do not end in a branch (and doubles as "not lowerable"

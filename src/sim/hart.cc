@@ -55,22 +55,17 @@ Hart::Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* 
   if (tuning.decode_cache_entries != 0) {
     pending_icache_entries_ = RoundUpPow2(tuning.decode_cache_entries);
   }
-  if (tuning.tlb_enabled && tuning.tlb_entries != 0) {
+  if (tuning.tlb_entries != 0) {
     pending_tlb_entries_ = RoundUpPow2(tuning.tlb_entries);
   }
-  // The superblock cache builds from decode-cache entries, so it is only allocated
-  // when the decode cache exists.
+  // The block cache builds from decode-cache entries, so it is only allocated when
+  // the decode cache exists.
   if (pending_icache_entries_ != 0 && tuning.superblock_entries != 0) {
+    // The block executor's single clamped budget compare (ExecuteThreaded) relies on
+    // every retired instruction charging at least one cycle.
+    VFM_CHECK_MSG(cost->instr_base >= 1,
+                  "the block tier needs a cost model with instr_base >= 1");
     pending_sb_entries_ = RoundUpPow2(tuning.superblock_entries);
-    // The threaded tier lowers from superblocks, so it only exists when they do.
-    // instr_base >= 1 is required by the executor's single clamped budget compare
-    // (every retired instruction charges at least one cycle); all cost models
-    // satisfy it, but a hypothetical free-instruction model falls back cleanly.
-    if (tuning.threaded_enabled && cost->instr_base >= 1) {
-      pending_threaded_ = true;
-      threaded_threshold_ =
-          tuning.threaded_promote_threshold == 0 ? 1 : tuning.threaded_promote_threshold;
-    }
   }
 }
 
@@ -91,11 +86,8 @@ void Hart::EnsureCaches() {
   if (pending_sb_entries_ != 0) {
     sblocks_.resize(pending_sb_entries_);
     sb_mask_ = pending_sb_entries_ - 1;
-    if (pending_threaded_) {
-      tcode_.resize(pending_sb_entries_);
-      pending_threaded_ = false;
-    }
     pending_sb_entries_ = 0;
+    ExecuteThreaded(nullptr, 0, 0, &handlers_);
   }
 }
 
@@ -649,7 +641,7 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
   BatchResult batch;
   const uint64_t mmio_start = bus_->mmio_ops();
   while (true) {
-    // Superblock dispatch (DESIGN.md §2f). The gate re-establishes exactly the
+    // Block dispatch (DESIGN.md §2f). The gate re-establishes exactly the
     // per-instruction Tick preconditions: not parked, aligned pc, and no pending
     // enabled interrupt. Interrupt state cannot change inside a block — blocks
     // contain no CSR ops, mtime and the interrupt lines only advance between
@@ -678,42 +670,23 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
         valid = FillSuperblock(&sb);
       }
       if (valid) {
-        // Tier selection (DESIGN.md §2g): count this valid dispatch toward promotion
-        // (saturating), lower on the dispatch that reaches the threshold, and run
-        // lowered blocks through the threaded executor. Everything below the tier
-        // choice is identical — both executors charge the same cycles and spill the
-        // same state, so the choice is invisible to simulated behaviour.
-        SbRun run;
-        ThreadedBlock* tb = nullptr;
-        if (!tcode_.empty()) {
-          if (sb.hits < threaded_threshold_) {
-            ++sb.hits;
-          }
-          if (sb.hits >= threaded_threshold_) {
-            tb = &tcode_[(pc_ >> 2) & sb_mask_];
-          }
-        }
-        if (tb != nullptr) {
-          if (!sb.lowered) {
-            LowerSuperblock(sb, tb);
-            sb.lowered = true;
-            ++threaded_promotions_;
-          }
-          run = ExecuteThreaded(&sb, tb, max_steps - batch.executed, stop_cycles);
-        } else {
-          run = ExecuteSuperblock(sb, 0, max_steps - batch.executed, stop_cycles);
-        }
+        const SbRun run = ExecuteThreaded(&sb, max_steps - batch.executed, stop_cycles);
         batch.executed += run.dispatched;
         batch.retired += run.dispatched - (run.last.trapped ? 1 : 0);
         batch.last = run.last;
-        if (run.end_batch || batch.executed >= max_steps ||
-            csrs_.mcycle() >= stop_cycles || bus_->mmio_ops() != mmio_start) {
-          return batch;
+        // A misfit stopped short of every boundary with the next instruction still
+        // due; it is the head of a fused op, so re-dispatching a block there would
+        // misfit again. One Tick retires it and the loop re-checks the bounds.
+        if (!run.misfit) {
+          if (run.end_batch || batch.executed >= max_steps || csrs_.mcycle() >= stop_cycles ||
+              bus_->mmio_ops() != mmio_start) {
+            return batch;
+          }
+          continue;
         }
-        continue;
       }
-      // Cold decode-cache slot at pc_: one per-instruction tick decodes it, after
-      // which the next lookup can build the block.
+      // Cold decode-cache slot at pc_ (one per-instruction tick decodes it, after
+      // which the next lookup can build the block), or a misfit continuation.
     }
     batch.last = Tick();
     if (batch.last.aborted) {
@@ -734,41 +707,59 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   const uint64_t stamp = cache_stamp();
   const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
   const uint8_t priv = static_cast<uint8_t>(priv_);
-  uint64_t pc = pc_;
-  unsigned count = 0;
-  bool open_end = false;
   // Capture straight-line decode-cache entries until a block-ending condition. Every
   // member must pass the full FetchEntry hit condition under one stamp — that single
   // check at build time, plus the stamp compare at dispatch, is what proves the whole
-  // block is still exactly what per-instruction fetch would execute. Nothing is
-  // written until at least one instruction is captured, so a failed (re)build never
-  // damages the existing entry.
-  while (count < kMaxSuperblockLen) {
+  // block is still exactly what per-instruction fetch would execute.
+  const auto member = [&](uint64_t pc) -> const FetchEntry* {
     const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
-    if (!(entry.tag == pc && entry.stamp == stamp && entry.satp == effective_satp &&
-          entry.priv == priv && entry.virt == virt_)) {
-      open_end = true;  // cold/stale continuation: retry extension once it warms up
-      break;
-    }
-    const SbClass cls = SuperblockClass(entry.instr.op);
+    const bool hit = entry.tag == pc && entry.stamp == stamp && entry.satp == effective_satp &&
+                     entry.priv == priv && entry.virt == virt_;
+    return hit ? &entry : nullptr;
+  };
+  // A failed (re)build must not damage the existing entry, so the first member is
+  // vetted before anything is written.
+  const FetchEntry* entry = member(pc_);
+  if (entry == nullptr || SuperblockClass(entry->instr.op) == SbClass::kBarrier) {
+    return false;
+  }
+  sb->ops.clear();
+  sb->mem_instrs.clear();
+  sb->has_mem = false;
+  uint64_t pc = pc_;
+  unsigned count = 0;
+  bool open_end = false;
+  bool ends_with_branch = false;
+  while (true) {
+    const SbClass cls = SuperblockClass(entry->instr.op);
     if (cls == SbClass::kBarrier) {
       break;  // privileged/CSR/fence/AMO ops always run through the Tick path
     }
-    BlockInstr& bi = sb->instrs[count];
-    bi.instr = entry.instr;
-    bi.extra_cycles = entry.extra_cycles;
-    bi.cls = cls;
+    LowerInstr(*entry, cls, pc, sb);
     ++count;
     if (cls == SbClass::kBranch) {
-      break;  // a branch is executed in-block as the final instruction
+      ends_with_branch = true;  // a branch is the block's terminal op
+      break;
     }
     pc += 4;
-    if ((pc & MaskLow(12)) == 0) {
-      break;  // the next pc starts a new page and may translate differently
+    if ((pc & MaskLow(12)) == 0 || count == kMaxSuperblockLen) {
+      break;  // a new page may translate differently; or the length cap
+    }
+    entry = member(pc);
+    if (entry == nullptr) {
+      open_end = true;  // cold/stale continuation: retry extension once it warms up
+      break;
     }
   }
-  if (count == 0) {
-    return false;
+  if (!ends_with_branch) {
+    // Blocks cut by a barrier, a page boundary, or the length cap end without a
+    // branch: a zero-cost sentinel spills and returns after the last real op.
+    ThreadedOp end;
+    end.kind = static_cast<uint8_t>(LoweredOp::kEnd);
+    end.count = 0;
+    end.next_pc = pc;
+    end.Bind(handlers_);
+    sb->ops.push_back(end);
   }
   sb->tag = pc_;
   sb->stamp = stamp;
@@ -777,11 +768,183 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   sb->open_end = open_end;
   sb->priv = priv;
   sb->virt = virt_;
-  // Any (re)build demotes: the block re-warms toward the promotion threshold and the
-  // old lowering (whose member list may now differ) is never dispatched again.
-  sb->hits = 0;
-  sb->lowered = false;
+  sb->total_count = count;
+  sb->total_cycles = 0;
+  for (const ThreadedOp& op : sb->ops) {
+    sb->total_cycles += op.cycles;
+  }
+  ++threaded_promotions_;
   return true;
+}
+
+void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
+                      SuperblockEntry* sb) const {
+  const DecodedInstr& d = entry.instr;
+  ThreadedOp op;
+  op.next_pc = pc + 4;
+  op.imm = d.imm;
+  op.cycles = static_cast<uint32_t>(cost_->instr_base + entry.extra_cycles);
+  op.a = d.rd;
+  op.b = d.rs1;
+  op.c = d.rs2;
+  LoweredOp kind = LoweredOpFor(d.op);
+
+  if (cls == SbClass::kSimple) {
+    switch (d.op) {
+      case Op::kAuipc:
+        // The block's virtual pc is static, so auipc is a constant at lowering time.
+        op.imm = static_cast<int64_t>(pc + static_cast<uint64_t>(d.imm));
+        break;
+      case Op::kMul:
+      case Op::kMulh:
+      case Op::kMulhsu:
+      case Op::kMulhu:
+      case Op::kDiv:
+      case Op::kDivu:
+      case Op::kRem:
+      case Op::kRemu:
+      case Op::kMulw:
+      case Op::kDivw:
+      case Op::kDivuw:
+      case Op::kRemw:
+      case Op::kRemuw:
+        op.cycles += static_cast<uint32_t>(cost_->instr_muldiv);
+        break;
+      default:
+        break;
+    }
+    if (d.rd == 0) {
+      kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
+    } else if (!sb->ops.empty()) {
+      // Constant folding: a li/auipc (kConst) followed by ALU-immediate ops that
+      // read and write the same register collapses into one kConstChain carrying
+      // the final value. Intermediate values are unobservable inside the chain
+      // (members are consecutive and each reads only the chain register), and a
+      // batch boundary inside a chain deopts to per-member execution, so folding
+      // is architecturally invisible.
+      ThreadedOp& prev = sb->ops.back();
+      const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
+      if ((pk == LoweredOp::kConst || pk == LoweredOp::kConstChain) && prev.a == d.rd &&
+          d.rs1 == d.rd) {
+        uint64_t v = static_cast<uint64_t>(prev.imm);
+        const uint64_t imm = static_cast<uint64_t>(d.imm);
+        bool folded = true;
+        switch (d.op) {
+          case Op::kAddi:
+            v += imm;
+            break;
+          case Op::kXori:
+            v ^= imm;
+            break;
+          case Op::kOri:
+            v |= imm;
+            break;
+          case Op::kAndi:
+            v &= imm;
+            break;
+          case Op::kSlli:
+            v <<= (d.imm & 63);
+            break;
+          case Op::kSrli:
+            v >>= (d.imm & 63);
+            break;
+          case Op::kSrai:
+            v = static_cast<uint64_t>(static_cast<int64_t>(v) >> (d.imm & 63));
+            break;
+          case Op::kSlti:
+            v = static_cast<int64_t>(v) < d.imm ? 1 : 0;
+            break;
+          case Op::kSltiu:
+            v = v < imm ? 1 : 0;
+            break;
+          case Op::kAddiw:
+            v = SignExtend((v + imm) & 0xFFFFFFFF, 32);
+            break;
+          case Op::kSlliw:
+            v = SignExtend((v << (d.imm & 31)) & 0xFFFFFFFF, 32);
+            break;
+          case Op::kSrliw:
+            v = SignExtend((v & 0xFFFFFFFF) >> (d.imm & 31), 32);
+            break;
+          case Op::kSraiw:
+            v = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)) >>
+                                      (d.imm & 31));
+            break;
+          default:
+            folded = false;
+            break;
+        }
+        if (folded) {
+          prev.imm = static_cast<int64_t>(v);
+          prev.next_pc = op.next_pc;
+          prev.cycles += op.cycles;
+          prev.count = static_cast<uint8_t>(prev.count + 1);
+          prev.kind = static_cast<uint8_t>(LoweredOp::kConstChain);
+          prev.Bind(handlers_);
+          return;
+        }
+      }
+    }
+  } else if (cls == SbClass::kBranch) {
+    switch (d.op) {
+      case Op::kJal:
+        op.imm = static_cast<int64_t>(pc + static_cast<uint64_t>(d.imm));
+        kind = d.rd == 0 ? LoweredOp::kJ : LoweredOp::kJal;
+        break;
+      case Op::kJalr:
+        kind = d.rd == 0 ? LoweredOp::kJr : LoweredOp::kJalr;
+        break;
+      default: {
+        op.imm = static_cast<int64_t>(pc + static_cast<uint64_t>(d.imm));  // taken pc
+        // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
+        // immediately following beqz/bnez fuses into one op (the compare rd is
+        // still written — it stays architecturally visible).
+        if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && !sb->ops.empty()) {
+          ThreadedOp& prev = sb->ops.back();
+          const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
+          const bool on_zero = d.op == Op::kBeq;
+          LoweredOp fused = LoweredOp::kEnd;
+          if (prev.count == 1 && prev.a == d.rs1 && prev.a != 0) {
+            switch (pk) {
+              case LoweredOp::kSlt:
+                fused = on_zero ? LoweredOp::kSltBeqz : LoweredOp::kSltBnez;
+                break;
+              case LoweredOp::kSltu:
+                fused = on_zero ? LoweredOp::kSltuBeqz : LoweredOp::kSltuBnez;
+                break;
+              case LoweredOp::kSlti:
+                fused = on_zero ? LoweredOp::kSltiBeqz : LoweredOp::kSltiBnez;
+                break;
+              case LoweredOp::kSltiu:
+                fused = on_zero ? LoweredOp::kSltiuBeqz : LoweredOp::kSltiuBnez;
+                break;
+              default:
+                break;
+            }
+          }
+          if (fused != LoweredOp::kEnd) {
+            prev.imm2 = static_cast<int32_t>(prev.imm);  // compare immediate
+            prev.imm = op.imm;                           // absolute taken target
+            prev.next_pc = op.next_pc;                   // fall-through pc
+            prev.cycles += op.cycles;
+            prev.count = 2;
+            prev.kind = static_cast<uint8_t>(fused);
+            prev.Bind(handlers_);
+            return;
+          }
+        }
+        break;
+      }
+    }
+  } else {  // SbClass::kMem
+    op.cycles += static_cast<uint32_t>(cost_->instr_mem);
+    op.mem = static_cast<uint16_t>(sb->mem_instrs.size());
+    sb->mem_instrs.push_back({d, entry.extra_cycles});
+    sb->has_mem = true;
+  }
+  op.kind = static_cast<uint8_t>(kind);
+  op.Bind(handlers_);
+  sb->ops.push_back(op);
 }
 
 void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
@@ -807,642 +970,25 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
   ctx->store_ctx = TlbCtx(priv, sum, mxr, AccessType::kStore);
 }
 
-Hart::SbRun Hart::ExecuteSuperblock(const SuperblockEntry& sb, unsigned start,
-                                    uint64_t steps_left, uint64_t stop_cycles) {
-  SbRun run;
-  if (start == 0) {
-    ++sb_blocks_;  // a deopt continuation is the same block, not a new dispatch
-  }
-  const uint64_t mmio_start = bus_->mmio_ops();
-  const uint64_t base_cost = cost_->instr_base;
-  FastMemCtx mem_ctx;
-  // Architectural counters and the pc live in locals while inside the block; they are
-  // spilled to csrs_/pc_ only at block exits and around slow-path memory ops. The
-  // stop checks below compare cycles_base + cycles, which is exactly what mcycle()
-  // would read if spilled, so batch boundaries land on the same instruction as the
-  // per-instruction loop.
-  uint64_t pc = pc_;
-  uint64_t cycles = 0;
-  uint64_t retired = 0;
-  uint64_t cycles_base = csrs_.mcycle();
-  uint64_t last_cycles = 0;
-  unsigned i = start;
-
-  while (true) {
-    const BlockInstr& bi = sb.instrs[i];
-    const DecodedInstr& d = bi.instr;
-    uint64_t next_pc = pc + 4;
-    uint64_t instr_cycles = base_cost + bi.extra_cycles;
-
-    if (bi.cls == SbClass::kSimple) {
-      const uint64_t rs1 = gpr_[d.rs1];
-      const uint64_t rs2 = gpr_[d.rs2];
-      switch (d.op) {
-        case Op::kLui:
-          set_gpr(d.rd, static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAuipc:
-          set_gpr(d.rd, pc + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAddi:
-          set_gpr(d.rd, rs1 + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kSlti:
-          set_gpr(d.rd, static_cast<int64_t>(rs1) < d.imm ? 1 : 0);
-          break;
-        case Op::kSltiu:
-          set_gpr(d.rd, rs1 < static_cast<uint64_t>(d.imm) ? 1 : 0);
-          break;
-        case Op::kXori:
-          set_gpr(d.rd, rs1 ^ static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kOri:
-          set_gpr(d.rd, rs1 | static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kAndi:
-          set_gpr(d.rd, rs1 & static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kSlli:
-          set_gpr(d.rd, rs1 << (d.imm & 63));
-          break;
-        case Op::kSrli:
-          set_gpr(d.rd, rs1 >> (d.imm & 63));
-          break;
-        case Op::kSrai:
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (d.imm & 63)));
-          break;
-        case Op::kAdd:
-          set_gpr(d.rd, rs1 + rs2);
-          break;
-        case Op::kSub:
-          set_gpr(d.rd, rs1 - rs2);
-          break;
-        case Op::kSll:
-          set_gpr(d.rd, rs1 << (rs2 & 63));
-          break;
-        case Op::kSlt:
-          set_gpr(d.rd, static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2) ? 1 : 0);
-          break;
-        case Op::kSltu:
-          set_gpr(d.rd, rs1 < rs2 ? 1 : 0);
-          break;
-        case Op::kXor:
-          set_gpr(d.rd, rs1 ^ rs2);
-          break;
-        case Op::kSrl:
-          set_gpr(d.rd, rs1 >> (rs2 & 63));
-          break;
-        case Op::kSra:
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (rs2 & 63)));
-          break;
-        case Op::kOr:
-          set_gpr(d.rd, rs1 | rs2);
-          break;
-        case Op::kAnd:
-          set_gpr(d.rd, rs1 & rs2);
-          break;
-        case Op::kAddiw:
-          set_gpr(d.rd, SignExtend((rs1 + static_cast<uint64_t>(d.imm)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSlliw:
-          set_gpr(d.rd, SignExtend((rs1 << (d.imm & 31)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSrliw:
-          set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (d.imm & 31), 32));
-          break;
-        case Op::kSraiw:
-          set_gpr(d.rd, static_cast<uint64_t>(
-                            static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (d.imm & 31)));
-          break;
-        case Op::kAddw:
-          set_gpr(d.rd, SignExtend((rs1 + rs2) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSubw:
-          set_gpr(d.rd, SignExtend((rs1 - rs2) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSllw:
-          set_gpr(d.rd, SignExtend((rs1 << (rs2 & 31)) & 0xFFFFFFFF, 32));
-          break;
-        case Op::kSrlw:
-          set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (rs2 & 31), 32));
-          break;
-        case Op::kSraw:
-          set_gpr(d.rd, static_cast<uint64_t>(
-                            static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (rs2 & 31)));
-          break;
-        case Op::kMul:
-          set_gpr(d.rd, rs1 * rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kMulh: {
-          const __int128 a = static_cast<int64_t>(rs1);
-          const __int128 b = static_cast<int64_t>(rs2);
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kMulhsu: {
-          const __int128 a = static_cast<int64_t>(rs1);
-          const __int128 b = static_cast<__int128>(rs2);
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kMulhu: {
-          const unsigned __int128 a = rs1;
-          const unsigned __int128 b = rs2;
-          set_gpr(d.rd, static_cast<uint64_t>((a * b) >> 64));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDiv: {
-          const int64_t a = static_cast<int64_t>(rs1);
-          const int64_t b = static_cast<int64_t>(rs2);
-          uint64_t q;
-          if (b == 0) {
-            q = ~uint64_t{0};
-          } else if (a == INT64_MIN && b == -1) {
-            q = static_cast<uint64_t>(a);
-          } else {
-            q = static_cast<uint64_t>(a / b);
-          }
-          set_gpr(d.rd, q);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDivu:
-          set_gpr(d.rd, rs2 == 0 ? ~uint64_t{0} : rs1 / rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kRem: {
-          const int64_t a = static_cast<int64_t>(rs1);
-          const int64_t b = static_cast<int64_t>(rs2);
-          uint64_t r;
-          if (b == 0) {
-            r = rs1;
-          } else if (a == INT64_MIN && b == -1) {
-            r = 0;
-          } else {
-            r = static_cast<uint64_t>(a % b);
-          }
-          set_gpr(d.rd, r);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemu:
-          set_gpr(d.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kMulw:
-          set_gpr(d.rd, SignExtend((rs1 * rs2) & 0xFFFFFFFF, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        case Op::kDivw: {
-          const int32_t a = static_cast<int32_t>(rs1);
-          const int32_t b = static_cast<int32_t>(rs2);
-          int32_t q;
-          if (b == 0) {
-            q = -1;
-          } else if (a == INT32_MIN && b == -1) {
-            q = a;
-          } else {
-            q = a / b;
-          }
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(q)));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kDivuw: {
-          const uint32_t a = static_cast<uint32_t>(rs1);
-          const uint32_t b = static_cast<uint32_t>(rs2);
-          const uint32_t q = b == 0 ? ~uint32_t{0} : a / b;
-          set_gpr(d.rd, SignExtend(q, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemw: {
-          const int32_t a = static_cast<int32_t>(rs1);
-          const int32_t b = static_cast<int32_t>(rs2);
-          int32_t r;
-          if (b == 0) {
-            r = a;
-          } else if (a == INT32_MIN && b == -1) {
-            r = 0;
-          } else {
-            r = a % b;
-          }
-          set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(r)));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        case Op::kRemuw: {
-          const uint32_t a = static_cast<uint32_t>(rs1);
-          const uint32_t b = static_cast<uint32_t>(rs2);
-          const uint32_t r = b == 0 ? a : a % b;
-          set_gpr(d.rd, SignExtend(r, 32));
-          instr_cycles += cost_->instr_muldiv;
-          break;
-        }
-        default:
-          break;  // unreachable: FillSuperblock only classifies the ops above kSimple
-      }
-    } else if (bi.cls == SbClass::kBranch) {
-      const uint64_t rs1 = gpr_[d.rs1];
-      const uint64_t rs2 = gpr_[d.rs2];
-      switch (d.op) {
-        case Op::kJal:
-          set_gpr(d.rd, next_pc);
-          next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kJalr: {
-          const uint64_t target = (rs1 + static_cast<uint64_t>(d.imm)) & ~uint64_t{1};
-          set_gpr(d.rd, next_pc);
-          next_pc = target;
-          break;
-        }
-        case Op::kBeq:
-          if (rs1 == rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBne:
-          if (rs1 != rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBlt:
-          if (static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2)) {
-            next_pc = pc + static_cast<uint64_t>(d.imm);
-          }
-          break;
-        case Op::kBge:
-          if (static_cast<int64_t>(rs1) >= static_cast<int64_t>(rs2)) {
-            next_pc = pc + static_cast<uint64_t>(d.imm);
-          }
-          break;
-        case Op::kBltu:
-          if (rs1 < rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        case Op::kBgeu:
-          if (rs1 >= rs2) next_pc = pc + static_cast<uint64_t>(d.imm);
-          break;
-        default:
-          break;  // unreachable
-      }
-    } else {  // SbClass::kMem
-      if (!mem_ctx.built) {
-        BuildFastMemCtx(&mem_ctx);
-      }
-      const uint64_t vaddr = gpr_[d.rs1] + static_cast<uint64_t>(d.imm);
-      const unsigned size = AccessSizeOf(d.op);
-      const bool is_store = IsStoreOp(d.op);
-      bool fast = false;
-      if (mem_ctx.engaged && IsAligned(vaddr, size)) {
-        TlbEntry& slot =
-            tlb_[static_cast<unsigned>(is_store ? AccessType::kStore : AccessType::kLoad)]
-                [(vaddr >> 12) & tlb_mask_];
-        // Full TLB hit condition, re-checked per access (a slow-path store earlier in
-        // this very block may have bumped a generation). host_page != nullptr implies
-        // pmp_whole_page, and an aligned power-of-two access never leaves the frame,
-        // so no per-access PMP scan is needed. A store must additionally see a clean
-        // mark byte: writes to exec-/PT-marked pages go through Bus::Write so the
-        // dependency generations bump exactly as the slow path would.
-        // Segment mode keeps fast loads (with a store-buffer overlay below) but
-        // forces every store to the slow path, where it is buffered (DESIGN.md §2i).
-        if (slot.vpage == vaddr >> 12 && slot.satp == mem_ctx.satp &&
-            slot.ctx == (is_store ? mem_ctx.store_ctx : mem_ctx.load_ctx) &&
-            slot.stamp == tlb_stamp() && slot.host_page != nullptr &&
-            (!is_store || (*slot.page_mark == 0 && !segment_active_))) {
-          ++tlb_hits_;  // parity: the slow path's Translate would count this hit
-          ++fastmem_hits_;
-          const uint64_t offset = vaddr & MaskLow(12);
-          if (is_store) {
-            std::memcpy(slot.host_page + offset, &gpr_[d.rs2], size);
-            if (reservation_) {
-              const uint64_t paddr = slot.paddr_page | offset;
-              if (AlignDown(*reservation_, 8) == AlignDown(paddr, 8)) {
-                reservation_.reset();
-              }
-            }
-          } else {
-            uint64_t value = 0;
-            std::memcpy(&value, slot.host_page + offset, size);
-            if (segment_active_ && !sbuf_.empty()) {
-              OverlayLoad(slot.paddr_page | offset, size, &value);
-            }
-            switch (d.op) {
-              case Op::kLb:
-                value = SignExtend(value, 8);
-                break;
-              case Op::kLh:
-                value = SignExtend(value, 16);
-                break;
-              case Op::kLw:
-                value = SignExtend(value, 32);
-                break;
-              default:
-                break;
-            }
-            set_gpr(d.rd, value);
-          }
-          instr_cycles += cost_->instr_mem + slot.extra_cycles;
-          fast = true;
-        }
-      }
-      if (!fast) {
-        // Slow path: spill the exact architectural state (TakeTrap records pc_ into
-        // xepc; the bus path may recurse into translation), run the op through the
-        // ordinary interpreter helper, and re-base the local counters after.
-        ++fastmem_misses_;
-        pc_ = pc;
-        csrs_.AddInstret(retired);
-        csrs_.AddCycles(cycles);
-        retired = 0;
-        cycles = 0;
-        StepResult r = ExecuteLoadStore(d);
-        if (r.aborted) {
-          // Segment sync event: the op had no effect and is not counted; pc_ and the
-          // counters were spilled exactly above, so the barrier re-runs it via Tick.
-          run.end_batch = true;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        r.cycles += bi.extra_cycles;  // the member's replayed fetch-walk cost
-        if (!r.trapped) {
-          csrs_.AddInstret(1);
-        }
-        csrs_.AddCycles(r.cycles);
-        ++run.dispatched;
-        ++i;
-        if (r.trapped) {
-          // pc_ was vectored by TakeTrap; counters are already spilled.
-          run.end_batch = true;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        pc = pc_;  // the helper retired to the next sequential pc
-        cycles_base = csrs_.mcycle();
-        const bool mmio = bus_->mmio_ops() != mmio_start;
-        const bool stale = cache_stamp() != sb.stamp;
-        if (mmio || stale || i >= sb.count || run.dispatched >= steps_left ||
-            cycles_base >= stop_cycles) {
-          // `stale` abandons the block (a store invalidated code this block may
-          // contain) without ending the batch: RunBatch re-validates and rebuilds.
-          run.end_batch = mmio;
-          run.last = r;
-          icache_hits_ += run.dispatched;
-          sb_instrs_ += run.dispatched;
-          return run;
-        }
-        continue;
-      }
-    }
-
-    pc = next_pc;
-    cycles += instr_cycles;
-    ++retired;
-    ++run.dispatched;
-    ++i;
-    if (i >= sb.count || run.dispatched >= steps_left ||
-        cycles_base + cycles >= stop_cycles) {
-      last_cycles = instr_cycles;
-      break;
-    }
-  }
-
-  pc_ = pc;
-  csrs_.AddInstret(retired);
-  csrs_.AddCycles(cycles);
-  icache_hits_ += run.dispatched;
-  sb_instrs_ += run.dispatched;
-  run.last.executed = true;
-  run.last.cycles = last_cycles;
-  return run;
-}
-
-void Hart::LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb) {
-  const void* const* table = nullptr;
-  ExecuteThreaded(nullptr, nullptr, 0, 0, &table);  // label addresses live there
-  tb->ops.clear();
-  tb->ops.reserve(sb.count + 1u);
-  tb->has_mem = false;
-  const uint64_t base_cost = cost_->instr_base;
-  bool ends_with_branch = false;
-  for (unsigned i = 0; i < sb.count; ++i) {
-    const BlockInstr& bi = sb.instrs[i];
-    const DecodedInstr& d = bi.instr;
-    const uint64_t ipc = sb.tag + uint64_t{4} * i;
-    ThreadedOp op;
-    op.next_pc = ipc + 4;
-    op.imm = d.imm;
-    op.cycles = static_cast<uint32_t>(base_cost + bi.extra_cycles);
-    op.src = static_cast<uint16_t>(i);
-    op.a = d.rd;
-    op.b = d.rs1;
-    op.c = d.rs2;
-    LoweredOp kind = LoweredOpFor(d.op);
-
-    if (bi.cls == SbClass::kSimple) {
-      switch (d.op) {
-        case Op::kAuipc:
-          // The block's virtual pc is static, so auipc is a constant at lowering time.
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));
-          break;
-        case Op::kMul:
-        case Op::kMulh:
-        case Op::kMulhsu:
-        case Op::kMulhu:
-        case Op::kDiv:
-        case Op::kDivu:
-        case Op::kRem:
-        case Op::kRemu:
-        case Op::kMulw:
-        case Op::kDivw:
-        case Op::kDivuw:
-        case Op::kRemw:
-        case Op::kRemuw:
-          op.cycles += static_cast<uint32_t>(cost_->instr_muldiv);
-          break;
-        default:
-          break;
-      }
-      if (d.rd == 0) {
-        kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
-      } else if (!tb->ops.empty()) {
-        // Constant folding: a li/auipc (kConst) followed by ALU-immediate ops that
-        // read and write the same register collapses into one kConstChain carrying
-        // the final value. Intermediate values are unobservable inside the chain
-        // (members are consecutive and each reads only the chain register), and a
-        // batch boundary inside a chain deopts to per-member execution, so folding
-        // is architecturally invisible.
-        ThreadedOp& prev = tb->ops.back();
-        const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
-        if ((pk == LoweredOp::kConst || pk == LoweredOp::kConstChain) && prev.a == d.rd &&
-            d.rs1 == d.rd) {
-          uint64_t v = static_cast<uint64_t>(prev.imm);
-          const uint64_t imm = static_cast<uint64_t>(d.imm);
-          bool folded = true;
-          switch (d.op) {
-            case Op::kAddi:
-              v += imm;
-              break;
-            case Op::kXori:
-              v ^= imm;
-              break;
-            case Op::kOri:
-              v |= imm;
-              break;
-            case Op::kAndi:
-              v &= imm;
-              break;
-            case Op::kSlli:
-              v <<= (d.imm & 63);
-              break;
-            case Op::kSrli:
-              v >>= (d.imm & 63);
-              break;
-            case Op::kSrai:
-              v = static_cast<uint64_t>(static_cast<int64_t>(v) >> (d.imm & 63));
-              break;
-            case Op::kSlti:
-              v = static_cast<int64_t>(v) < d.imm ? 1 : 0;
-              break;
-            case Op::kSltiu:
-              v = v < imm ? 1 : 0;
-              break;
-            case Op::kAddiw:
-              v = SignExtend((v + imm) & 0xFFFFFFFF, 32);
-              break;
-            case Op::kSlliw:
-              v = SignExtend((v << (d.imm & 31)) & 0xFFFFFFFF, 32);
-              break;
-            case Op::kSrliw:
-              v = SignExtend((v & 0xFFFFFFFF) >> (d.imm & 31), 32);
-              break;
-            case Op::kSraiw:
-              v = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)) >>
-                                        (d.imm & 31));
-              break;
-            default:
-              folded = false;
-              break;
-          }
-          if (folded) {
-            prev.imm = static_cast<int64_t>(v);
-            prev.next_pc = ipc + 4;
-            prev.cycles += op.cycles;
-            prev.count = static_cast<uint8_t>(prev.count + 1);
-            prev.kind = static_cast<uint8_t>(LoweredOp::kConstChain);
-            prev.handler = table != nullptr ? table[prev.kind] : nullptr;
-            prev.uhandler = table != nullptr ? table[kLoweredOpCount + prev.kind] : nullptr;
-            continue;
-          }
-        }
-      }
-    } else if (bi.cls == SbClass::kBranch) {
-      ends_with_branch = true;  // FillSuperblock makes a branch the final member
-      switch (d.op) {
-        case Op::kJal:
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));
-          kind = d.rd == 0 ? LoweredOp::kJ : LoweredOp::kJal;
-          break;
-        case Op::kJalr:
-          kind = d.rd == 0 ? LoweredOp::kJr : LoweredOp::kJalr;
-          break;
-        default: {
-          op.imm = static_cast<int64_t>(ipc + static_cast<uint64_t>(d.imm));  // taken pc
-          // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
-          // immediately following beqz/bnez fuses into one op (the compare rd is
-          // still written — it stays architecturally visible).
-          if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && !tb->ops.empty()) {
-            ThreadedOp& prev = tb->ops.back();
-            const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
-            const bool on_zero = d.op == Op::kBeq;
-            LoweredOp fused = LoweredOp::kEnd;
-            if (prev.count == 1 && prev.a == d.rs1 && prev.a != 0) {
-              switch (pk) {
-                case LoweredOp::kSlt:
-                  fused = on_zero ? LoweredOp::kSltBeqz : LoweredOp::kSltBnez;
-                  break;
-                case LoweredOp::kSltu:
-                  fused = on_zero ? LoweredOp::kSltuBeqz : LoweredOp::kSltuBnez;
-                  break;
-                case LoweredOp::kSlti:
-                  fused = on_zero ? LoweredOp::kSltiBeqz : LoweredOp::kSltiBnez;
-                  break;
-                case LoweredOp::kSltiu:
-                  fused = on_zero ? LoweredOp::kSltiuBeqz : LoweredOp::kSltiuBnez;
-                  break;
-                default:
-                  break;
-              }
-            }
-            if (fused != LoweredOp::kEnd) {
-              prev.imm2 = static_cast<int32_t>(prev.imm);  // compare immediate
-              prev.imm = op.imm;                           // absolute taken target
-              prev.next_pc = ipc + 4;                      // fall-through pc
-              prev.cycles += op.cycles;
-              prev.count = 2;
-              prev.kind = static_cast<uint8_t>(fused);
-              prev.handler = table != nullptr ? table[prev.kind] : nullptr;
-              prev.uhandler = table != nullptr ? table[kLoweredOpCount + prev.kind] : nullptr;
-              continue;
-            }
-          }
-          break;
-        }
-      }
-    } else {  // SbClass::kMem
-      op.cycles += static_cast<uint32_t>(cost_->instr_mem);
-      tb->has_mem = true;
-    }
-    op.kind = static_cast<uint8_t>(kind);
-    op.handler = table != nullptr ? table[op.kind] : nullptr;
-    op.uhandler = table != nullptr ? table[kLoweredOpCount + op.kind] : nullptr;
-    tb->ops.push_back(op);
-  }
-  if (!ends_with_branch) {
-    // Blocks cut by a barrier, a page boundary, or the length cap end without a
-    // branch: a zero-cost sentinel spills and returns after the last real op.
-    ThreadedOp end;
-    end.kind = static_cast<uint8_t>(LoweredOp::kEnd);
-    end.handler = table != nullptr ? table[end.kind] : nullptr;
-    end.uhandler = table != nullptr ? table[kLoweredOpCount + end.kind] : nullptr;
-    end.cycles = 0;
-    end.count = 0;
-    end.src = sb.count;
-    end.next_pc = sb.tag + uint64_t{4} * sb.count;
-    tb->ops.push_back(end);
-  }
-  tb->total_count = 0;
-  tb->total_cycles = 0;
-  for (const ThreadedOp& o : tb->ops) {
-    tb->total_count += o.count;
-    tb->total_cycles += o.cycles;
-  }
-}
-
-// The threaded-code executor (DESIGN.md §2g). Dispatch is a computed goto on GCC and
-// Clang — each lowered op carries its handler's label address — with a switch on
-// LoweredOp::kind as the portable fallback. The budget discipline mirrors
-// ExecuteSuperblock exactly: per-instruction post-checks against steps_left and the
-// cycle limit, so batch boundaries land on the same instruction as per-instruction
-// stepping; fused ops (which retire several instructions atomically) pre-check that
-// they fit entirely and otherwise deopt, handing the block tail to the superblock
-// tier, which executes one instruction at a time to the exact boundary.
+// The block executor (DESIGN.md §2f). Dispatch is a computed goto on GCC and Clang —
+// each lowered op carries its handler's label address — with a switch on
+// LoweredOp::kind as the portable fallback. The budget discipline is Tick()'s:
+// per-instruction post-checks against steps_left and the cycle limit, so batch
+// boundaries land on the same instruction as per-instruction stepping; fused ops
+// (which retire several instructions atomically) pre-check that they fit entirely
+// and otherwise deopt, spilling at their first member for RunBatch to Tick().
 #if defined(__GNUC__) || defined(__clang__)
 #define VFM_THREADED_GOTO 1
 #else
 #define VFM_THREADED_GOTO 0
 #endif
 
-Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock* tb,
-                                  uint64_t steps_left, uint64_t stop_cycles,
-                                  const void* const** table_out) {
+Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left,
+                                  uint64_t stop_cycles, const void* const** table_out) {
 #if VFM_THREADED_GOTO
   if (table_out != nullptr) {
     // Checked handlers first, then the unchecked set (same X-macro order), so
-    // LowerSuperblock indexes checked at [kind] and unchecked at [count + kind].
+    // ThreadedOp::Bind indexes checked at [kind] and unchecked at [count + kind].
     static const void* const kTable[] = {
 #define VFM_X(name) &&t_##name,
         VFM_LOWERED_OPS(VFM_X)
@@ -1463,16 +1009,16 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
 
   SbRun run;
   ++sb_blocks_;
-  ++threaded_blocks_;
   const uint64_t mmio_start = bus_->mmio_ops();
   FastMemCtx fm;
   TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
   TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
   uint64_t* const g = gpr_;
-  const ThreadedOp* op = tb->ops.data();
-  // Same spill discipline as ExecuteSuperblock: pc and the counter deltas live in
-  // locals, spilled only at exits and around slow-path memory ops. `climit` folds
-  // the stop_cycles compare into the local cycle delta.
+  const ThreadedOp* op = sb->ops.data();
+  // Architectural counters and the pc live in locals while inside the block; they
+  // are spilled to csrs_/pc_ only at exits and around slow-path memory ops, and
+  // `climit` folds the stop_cycles compare into the local cycle delta, so batch
+  // boundaries land where mcycle() would put them.
   uint64_t pc = pc_;        // written only by branch handlers; fall-through exits
                             // recover it from the last op's next_pc
   uint64_t cycles = 0;      // charged since the last spill
@@ -1491,7 +1037,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
   climit = climit < steps_left ? climit : steps_left;
   // tlb_stamp() is stable across fast-path ops (fast stores never touch marked
   // pages, so no generation it folds can bump); resampled after every slow-path op.
-  uint64_t tstamp = tb->has_mem ? tlb_stamp() : 0;
+  uint64_t tstamp = sb->has_mem ? tlb_stamp() : 0;
 
 #if VFM_THREADED_GOTO
 #define VFM_TGO() goto* op->handler
@@ -1499,8 +1045,8 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
 #define VFM_TGO() goto dispatch
 #endif
 // Post-execution bookkeeping + budget post-check of a non-terminal op, then dispatch
-// of the next op. The post-check discipline matches ExecuteSuperblock's loop tail,
-// so batch boundaries land on the same instruction.
+// of the next op. The post-check matches RunBatch's per-Tick bound checks, so batch
+// boundaries land on the same instruction.
 #define VFM_TNEXT()          \
   do {                       \
     cycles += op->cycles;    \
@@ -1524,13 +1070,13 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
       goto exit_spill;       \
     }                        \
     if (pc == sb->tag) {     \
-      op = tb->ops.data();   \
+      op = sb->ops.data();   \
       VFM_TGO();             \
     }                        \
     goto exit_spill;         \
   } while (0)
 // Fused ops retire `n` instructions atomically: they must fit the remaining budget
-// entirely, else the superblock tier executes the tail to the exact boundary.
+// entirely, else deopt to per-instruction Tick()s up to the exact boundary.
 #define VFM_TFIT(n)                                                       \
   do {                                                                    \
     if (dispatched + (n) > steps_left || cycles + op->cycles >= climit) { \
@@ -1538,9 +1084,15 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
     }                                                                     \
   } while (0)
 // Load/store with host-pointer fast path baked in: one handler does the address
-// add, the TLB probe (full hit condition, as in ExecuteSuperblock), and the host
-// memcpy. Any miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM
-// frame, marked page — takes the shared interpreter slow path below.
+// add, the TLB probe, and the host memcpy. The probe is the full TLB hit condition,
+// re-checked per access against a stamp resampled after every slow-path op.
+// host_page != nullptr implies pmp_whole_page, and an aligned power-of-two access
+// never leaves the frame, so no per-access PMP scan is needed. A store must also
+// see a clean mark byte: writes to exec-/PT-marked pages go through Bus::Write so
+// the dependency generations bump exactly as per-instruction execution would, and
+// segment mode sends every store there too, to be buffered (DESIGN.md §2i). Any
+// miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM frame, marked
+// page — takes the shared interpreter slow path below.
 #define VFM_TLOAD(size_, extract_)                                            \
   do {                                                                        \
     if (!fm.built) {                                                          \
@@ -1605,7 +1157,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock
   // per-op accounting entirely — the terminal op adds the block totals and
   // re-checks before chaining. Blocks with memory ops always run checked: their
   // TLB-replayed walk cycles vary per dispatch, so the run total is not static.
-  if (!tb->has_mem && tb->total_cycles <= climit) {
+  if (!sb->has_mem && sb->total_cycles <= climit) {
     goto* op->uhandler;
   }
 #endif
@@ -1651,14 +1203,14 @@ dispatch:
   } while (0)
 #define VFM_TFIN()                               \
   do {                                           \
-    cycles += tb->total_cycles;                  \
-    dispatched += tb->total_count;               \
+    cycles += sb->total_cycles;                  \
+    dispatched += sb->total_count;               \
     if (cycles >= climit) {                      \
       goto exit_spill;                           \
     }                                            \
     if (pc == sb->tag) {                         \
-      op = tb->ops.data();                       \
-      if (cycles + tb->total_cycles <= climit) { \
+      op = sb->ops.data();                       \
+      if (cycles + sb->total_cycles <= climit) { \
         goto* op->uhandler;                      \
       }                                          \
       goto* op->handler;                         \
@@ -1667,8 +1219,8 @@ dispatch:
   } while (0)
 #define VFM_TEND()                 \
   do {                             \
-    cycles += tb->total_cycles;    \
-    dispatched += tb->total_count; \
+    cycles += sb->total_cycles;    \
+    dispatched += sb->total_count; \
     goto exit_fall;                \
   } while (0)
 #include "src/sim/hart_threaded.inc"
@@ -1678,41 +1230,33 @@ dispatch:
 #endif  // VFM_THREADED_GOTO
 
 slow_mem: {
-  // The exact superblock slow path: spill the architectural state, run the op
-  // through the ordinary interpreter helper, re-base the locals, and re-validate
-  // the block before resuming threaded dispatch.
+  // The interpreter slow path: spill the architectural state, run the op through
+  // the ordinary interpreter helper, re-base the locals, and re-validate the block
+  // before resuming threaded dispatch.
   ++fastmem_misses_;
-  const BlockInstr& bi = sb->instrs[op->src];
-  pc_ = sb->tag + uint64_t{4} * op->src;  // the member's pc, for trap reporting
+  const MemInstr& mi = sb->mem_instrs[op->mem];
+  pc_ = op->next_pc - 4;  // the member's pc, for trap reporting
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
   cycles = 0;
-  StepResult r = ExecuteLoadStore(bi.instr);
+  StepResult r = ExecuteLoadStore(mi.instr);
   if (r.aborted) {
     // Segment sync event: the op had no effect and is not counted; pc_ and the
     // counters were spilled exactly above, so the barrier re-runs it via Tick.
     run.end_batch = true;
     run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_counted;
   }
-  r.cycles += bi.extra_cycles;  // the member's replayed fetch-walk cost
+  r.cycles += mi.extra_cycles;  // the member's replayed fetch-walk cost
   if (!r.trapped) {
     csrs_.AddInstret(1);
   }
   csrs_.AddCycles(r.cycles);
   ++dispatched;
+  run.last = r;
   if (r.trapped) {
     run.end_batch = true;
-    run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_counted;
   }
   spill_base = dispatched;  // the slow op's instret was added above
   cycles_base = csrs_.mcycle();
@@ -1724,12 +1268,7 @@ slow_mem: {
       ++threaded_deopts_;  // the store invalidated code this block may contain
     }
     run.end_batch = mmio;
-    run.last = r;
-    run.dispatched = dispatched;
-    icache_hits_ += dispatched;
-    sb_instrs_ += dispatched;
-    threaded_instrs_ += dispatched;
-    return run;
+    goto exit_counted;
   }
   climit = stop_cycles - cycles_base;  // > 0: checked just above
   const uint64_t steps_rem = steps_left - dispatched;
@@ -1738,22 +1277,13 @@ slow_mem: {
   VFM_TGO();
 }
 
-deopt_misfit: {
-  // A fused op would overshoot the batch budget: spill at the member boundary and
-  // let the superblock tier run the tail per-instruction to the exact boundary.
+deopt_misfit:
+  // A fused op would overshoot the batch budget: spill at its first member and hand
+  // back to RunBatch, which Tick()s the members one at a time to the exact boundary.
   ++threaded_deopts_;
-  pc_ = sb->tag + uint64_t{4} * op->src;  // first member of the fused op
-  csrs_.AddInstret(dispatched - spill_base);
-  csrs_.AddCycles(cycles);
-  icache_hits_ += dispatched;
-  sb_instrs_ += dispatched;
-  threaded_instrs_ += dispatched;
-  const SbRun tail = ExecuteSuperblock(*sb, op->src, steps_left - dispatched, stop_cycles);
-  run.dispatched = dispatched + tail.dispatched;
-  run.end_batch = tail.end_batch;
-  run.last = tail.last;
-  return run;
-}
+  run.misfit = true;
+  pc = op->next_pc - uint64_t{4} * op->count;
+  goto exit_spill;
 
 exit_fall:
   pc = op[-1].next_pc;  // non-branch exit: resume after the last executed op
@@ -1761,11 +1291,11 @@ exit_spill:
   pc_ = pc;
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
+  run.last.executed = true;
+exit_counted:
   run.dispatched = dispatched;
   icache_hits_ += dispatched;
   sb_instrs_ += dispatched;
-  threaded_instrs_ += dispatched;
-  run.last.executed = true;
   return run;
 
 #undef VFM_TSTORE
@@ -2537,7 +2067,7 @@ bool Hart::LoadState(StateReader& reader) {
   // Translation caches are derived state: rather than serialize them, advance the
   // generation counters so every cached entry's stamp mismatches. All stamp
   // components are monotonic, so a +1 on each local counter strictly exceeds any
-  // previously recorded stamp — no stale decode/TLB/superblock/threaded entry can
+  // previously recorded stamp — no stale decode-cache, TLB or block entry can
   // validate again, and they rebuild (and re-mark dependency pages) on demand.
   ++fence_gen_;
   ++tlb_gen_;

@@ -153,8 +153,8 @@ class Hart {
   uint64_t tlb_misses() const { return tlb_misses_; }
   uint64_t tlb_flushes() const { return tlb_flushes_; }
 
-  // Superblock engine counters (DESIGN.md §2f). A superblock "hit" is a dispatch into
-  // a valid cached block; a "miss" is a lookup that had to (re)build one. Mean block
+  // Block tier counters (DESIGN.md §2f). A superblock "hit" is a dispatch into a
+  // valid cached block; a "miss" is a lookup that had to (re)build one. Mean block
   // length is superblock_instrs()/superblock_blocks(). None of these affect the
   // decode-cache counters: every instruction dispatched from a block still counts one
   // decode-cache hit, keeping hit-rate parity with the per-instruction loop.
@@ -163,14 +163,13 @@ class Hart {
   uint64_t superblock_blocks() const { return sb_blocks_; }
   uint64_t superblock_instrs() const { return sb_instrs_; }
 
-  // Threaded-code tier counters (DESIGN.md §2g). `threaded_instrs` counts
-  // instructions retired under threaded dispatch (a subset of superblock_instrs:
-  // the decode-cache/superblock parity rule above applies unchanged). A promotion
-  // lowers one superblock into threaded form; a deopt is a mid-block handoff back
-  // to the superblock/interpreter path (budget misfit of a fused op, or a stamp
-  // mismatch after a slow-path store invalidated code this block may contain).
-  uint64_t threaded_blocks() const { return threaded_blocks_; }
-  uint64_t threaded_instrs() const { return threaded_instrs_; }
+  // Threaded-dispatch view of the same tier. Every block is lowered when it is
+  // built and runs threaded, so threaded_blocks/instrs equal superblock_blocks/
+  // instrs. A promotion is one block lowered; a deopt is a mid-block handoff to the
+  // per-instruction Tick() path (budget misfit of a fused op, or a stamp mismatch
+  // after a slow-path store invalidated code this block may contain).
+  uint64_t threaded_blocks() const { return sb_blocks_; }
+  uint64_t threaded_instrs() const { return sb_instrs_; }
   uint64_t threaded_promotions() const { return threaded_promotions_; }
   uint64_t threaded_deopts() const { return threaded_deopts_; }
 
@@ -193,9 +192,9 @@ class Hart {
   // Uniform state API (DESIGN.md §2h): architectural state only — GPRs, pc,
   // privilege, virtualization mode, WFI parking, the load reservation, the trap
   // counter, and the nested CSR file (which carries the PMP bank). The translation
-  // caches (decode cache, TLB, superblocks, threaded code) are host-side derived
-  // state: they are never serialized, and LoadState instead bumps the hart's
-  // generation counters so every cached entry mis-stamps and rebuilds on demand.
+  // caches (decode cache, TLB, lowered blocks) are host-side derived state: they are
+  // never serialized, and LoadState instead bumps the hart's generation counters so
+  // every cached entry mis-stamps and rebuilds on demand.
   void SaveState(StateWriter& writer) const;
   bool LoadState(StateReader& reader);
 
@@ -252,7 +251,7 @@ class Hart {
     // generation, so any PMP write invalidates the entry before it can lie.
     bool pmp_whole_page = false;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
-    // and superblock memory ops may access `host_page` directly, provided
+    // and block memory ops may access `host_page` directly, provided
     // pmp_whole_page holds and `*page_mark` is zero (a marked page must go through
     // Bus::Write so dependency generations bump). Only set when pmp_whole_page; the
     // stamp folds in Bus::ram_generation() so pointers never outlive a RAM remap.
@@ -260,51 +259,15 @@ class Hart {
     const uint8_t* page_mark = nullptr;
   };
 
-  // One pre-validated instruction of a superblock: the decoded instruction, its
-  // replayed fetch-walk cycles, and its dispatch class.
-  struct BlockInstr {
-    DecodedInstr instr;
-    uint64_t extra_cycles = 0;
-    SbClass cls = SbClass::kBarrier;
-  };
-
   static constexpr unsigned kMaxSuperblockLen = 64;
 
-  // One slot of the superblock cache: a straight-line run of decode-cache entries
-  // captured under one validity stamp. The key/stamp discipline is exactly
-  // FetchEntry's — the block is valid iff every member FetchEntry would still hit —
-  // which holds because all members were verified valid at build time under the same
-  // (stamp, satp, priv, virt) and any event that could invalidate one bumps a counter
-  // folded into cache_stamp(). Ends at the first kBarrier op (excluded), at a kBranch
-  // (included: executed in-block as the final instruction), at a 4 KiB page boundary
-  // (the next pc may translate differently), or at kMaxSuperblockLen. `open_end` marks
-  // a block cut short by a cold decode-cache slot; a later dispatch retries the build
-  // to extend it once the continuation has been decoded.
-  struct SuperblockEntry {
-    uint64_t tag = ~uint64_t{0};  // starting virtual pc
-    uint64_t stamp = 0;           // cache_stamp() at build time
-    uint64_t satp = 0;            // effective satp at build time
-    uint16_t count = 0;
-    bool open_end = false;
-    uint8_t priv = 0;
-    bool virt = false;
-    // Threaded-tier promotion state (DESIGN.md §2g): valid dispatches so far
-    // (saturating at the promotion threshold) and whether the matching ThreadedBlock
-    // slot currently holds this block's lowering. Both reset on every (re)build, so
-    // a lowered run can never outlive the superblock it was lowered from.
-    uint32_t hits = 0;
-    bool lowered = false;
-    BlockInstr instrs[kMaxSuperblockLen];
-  };
-
-  // One lowered op of a threaded block (DESIGN.md §2g): the handler address
-  // (computed-goto label, with `kind` as the switch-dispatch fallback), operand
-  // register indices, and everything the handler needs pre-resolved — sign-extended
-  // immediate or folded constant or absolute branch target in `imm`, the pc after
-  // the op in `next_pc`, and the summed cycle charge of all fused source
-  // instructions in `cycles` (mem ops add the TLB slot's replayed walk cost at run
-  // time). `src` anchors deopt: the index of the first source BlockInstr, where the
-  // superblock tier resumes when a fused op cannot fit the remaining batch budget.
+  // One lowered op of a block (DESIGN.md §2f): the handler address (computed-goto
+  // label, with `kind` as the switch-dispatch fallback), operand register indices,
+  // and everything the handler needs pre-resolved — sign-extended immediate or folded
+  // constant or absolute branch target in `imm`, the pc after the op in `next_pc`,
+  // and the summed cycle charge of all fused source instructions in `cycles` (mem ops
+  // add the TLB slot's replayed walk cost at run time). An op's first source
+  // instruction sits at next_pc - 4 * count, which is where a deopt resumes.
   struct ThreadedOp {
     const void* handler = nullptr;   // checked handler: per-op budget accounting
     const void* uhandler = nullptr;  // unchecked handler: budget pre-checked per iteration
@@ -312,19 +275,47 @@ class Hart {
     int64_t imm = 0;
     uint32_t cycles = 0;
     int32_t imm2 = 0;  // baked compare immediate of a fused slti/sltiu + branch
-    uint16_t src = 0;
+    uint16_t mem = 0;  // load/store: index into SuperblockEntry::mem_instrs
     uint8_t a = 0;  // rd (or the compare rd of a fused compare+branch)
     uint8_t b = 0;  // rs1
     uint8_t c = 0;  // rs2 (store data register)
     uint8_t count = 1;  // source instructions this op retires
     uint8_t kind = 0;   // LoweredOp
+
+    // Points both handlers at `kind`'s labels in ExecuteThreaded's table (checked at
+    // [kind], unchecked at [kLoweredOpCount + kind]). The table is null without
+    // computed goto, where dispatch switches on `kind` instead.
+    void Bind(const void* const* table) {
+      handler = table != nullptr ? table[kind] : nullptr;
+      uhandler = table != nullptr ? table[kLoweredOpCount + kind] : nullptr;
+    }
   };
 
-  // A promoted superblock's lowered run. Slots parallel the superblock cache
-  // (same index), and a slot's contents are meaningful only while the owning
-  // SuperblockEntry is valid and has `lowered` set.
-  struct ThreadedBlock {
-    std::vector<ThreadedOp> ops;
+  // A load/store as the slow memory path (ExecuteLoadStore) needs it: the decoded
+  // instruction and the replayed fetch-walk cycles of its decode-cache entry.
+  struct MemInstr {
+    DecodedInstr instr;
+    uint64_t extra_cycles = 0;
+  };
+
+  // One slot of the block cache: a straight-line run of decode-cache entries captured
+  // under one validity stamp and lowered into threaded ops as it is built. The
+  // key/stamp discipline is exactly FetchEntry's — the block is valid iff every
+  // member FetchEntry would still hit — which holds because all members were verified
+  // valid at build time under the same (stamp, satp, priv, virt) and any event that
+  // could invalidate one bumps a counter folded into cache_stamp(). Ends at the first
+  // kBarrier op (excluded), at a kBranch (included: the terminal op), at a 4 KiB page
+  // boundary (the next pc may translate differently), or at kMaxSuperblockLen.
+  // `open_end` marks a block cut short by a cold decode-cache slot; a later dispatch
+  // retries the build to extend it once the continuation has been decoded.
+  struct SuperblockEntry {
+    uint64_t tag = ~uint64_t{0};  // starting virtual pc
+    uint64_t stamp = 0;           // cache_stamp() at build time
+    uint64_t satp = 0;            // effective satp at build time
+    uint16_t count = 0;           // source instructions
+    bool open_end = false;
+    uint8_t priv = 0;
+    bool virt = false;
     bool has_mem = false;  // skip the tlb_stamp() sample for pure-ALU blocks
     // Whole-run charges, for the unchecked dispatch mode: a pure-ALU block whose
     // entire run fits the remaining budget executes with no per-op accounting at
@@ -332,6 +323,8 @@ class Hart {
     // always run checked (their TLB-replayed walk cycles vary per dispatch).
     uint32_t total_count = 0;
     uint64_t total_cycles = 0;
+    std::vector<ThreadedOp> ops;
+    std::vector<MemInstr> mem_instrs;
   };
 
   // Data-access translation context captured once per block dispatch. Valid for the
@@ -345,11 +338,14 @@ class Hart {
     uint8_t store_ctx = 0;
   };
 
-  // Outcome of one superblock dispatch, consumed by RunBatch.
+  // Outcome of one block dispatch, consumed by RunBatch.
   struct SbRun {
     uint64_t dispatched = 0;  // ticks consumed (== instructions dispatched)
     bool end_batch = false;   // batch must end (trap, WFI, MMIO, ...)
-    StepResult last;          // result of the final tick, RunBatch-compatible
+    // A fused op did not fit the remaining budget: the hart is spilled at its first
+    // member, which RunBatch must run through Tick() rather than re-dispatch.
+    bool misfit = false;
+    StepResult last;  // result of the final tick, RunBatch-compatible
   };
 
   // Sum of the three monotonic invalidation counters: stores into exec-marked pages
@@ -392,25 +388,20 @@ class Hart {
   StepResult IllegalInstr(const DecodedInstr& instr);
   StepResult Retire(uint64_t next_pc, uint64_t cycles);
 
-  // Builds (or rebuilds) the superblock starting at pc_ from currently-valid
-  // decode-cache entries. Returns false if not even one instruction could be
-  // captured (cold or stale decode-cache slot at pc_).
+  // Builds (or rebuilds) the block starting at pc_ from currently-valid decode-cache
+  // entries, lowering each member as it is captured. Returns false, leaving `sb`
+  // untouched, if not even one instruction could be captured (cold or stale
+  // decode-cache slot at pc_, or a barrier op there).
   bool FillSuperblock(SuperblockEntry* sb);
-  // Dispatches through `sb` starting at member index `start`, retiring up to
-  // steps_left instructions or until stop_cycles, a trap, or a slow-path event ends
-  // the block or the batch. `start` != 0 is the threaded tier's deopt continuation
-  // (the caller has already spilled pc_/instret/cycles at the member boundary).
-  SbRun ExecuteSuperblock(const SuperblockEntry& sb, unsigned start, uint64_t steps_left,
-                          uint64_t stop_cycles);
-  // Lowers a promoted superblock into `tb` (DESIGN.md §2g): 1:1 handler mapping plus
-  // constant folding of li/auipc + ALU-immediate chains, compare+branch fusion, and
-  // cycle-charge pre-summing. Pure translation — no architectural effects.
-  void LowerSuperblock(const SuperblockEntry& sb, ThreadedBlock* tb);
-  // Executes a lowered block by direct handler dispatch. With `table_out` non-null,
-  // performs no execution and only returns the handler table for LowerSuperblock
-  // (the computed-goto labels are local to this function); sb/tb may be null then.
-  SbRun ExecuteThreaded(const SuperblockEntry* sb, const ThreadedBlock* tb,
-                        uint64_t steps_left, uint64_t stop_cycles,
+  // Appends the lowering of one member at `pc` to `sb` (DESIGN.md §2f): 1:1 handler
+  // mapping plus constant folding of li/auipc + ALU-immediate chains, compare+branch
+  // fusion, and cycle-charge pre-summing. Pure translation — no architectural effects.
+  void LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc, SuperblockEntry* sb) const;
+  // Executes a lowered block by direct handler dispatch, retiring up to steps_left
+  // instructions or until stop_cycles, a trap, or a slow-path event ends the block or
+  // the batch. With `table_out` non-null, performs no execution and only returns the
+  // handler table (the computed-goto labels are local to this function).
+  SbRun ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
                         const void* const** table_out = nullptr);
   void BuildFastMemCtx(FastMemCtx* ctx) const;
 
@@ -481,7 +472,7 @@ class Hart {
   uint64_t tlb_misses_ = 0;
   uint64_t tlb_flushes_ = 0;
 
-  // Superblock cache (direct-mapped, indexed by start pc >> 2). Empty when disabled;
+  // Block cache (direct-mapped, indexed by start pc >> 2). Empty when disabled;
   // sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode cache: blocks
   // are built from, and validated against, its entries.
   std::vector<SuperblockEntry> sblocks_;
@@ -490,25 +481,19 @@ class Hart {
   uint64_t sb_misses_ = 0;
   uint64_t sb_blocks_ = 0;
   uint64_t sb_instrs_ = 0;
+  uint64_t threaded_promotions_ = 0;
+  uint64_t threaded_deopts_ = 0;
   uint64_t fastmem_hits_ = 0;
   uint64_t fastmem_misses_ = 0;
-
-  // Threaded-code tier (DESIGN.md §2g): lowered runs parallel to sblocks_. Empty
-  // when the tier (or the superblock cache) is disabled.
-  std::vector<ThreadedBlock> tcode_;
-  uint32_t threaded_threshold_ = 8;
+  // ExecuteThreaded's handler table, fetched once when the block cache is allocated.
+  const void* const* handlers_ = nullptr;
 
   // Deferred cache sizing (see EnsureCaches): entry counts computed at construction,
   // applied on first execution. All zero once applied (or when disabled).
   uint64_t pending_icache_entries_ = 0;
   uint64_t pending_tlb_entries_ = 0;
   uint64_t pending_sb_entries_ = 0;
-  bool pending_threaded_ = false;
   bool caches_ready_ = false;
-  uint64_t threaded_blocks_ = 0;
-  uint64_t threaded_instrs_ = 0;
-  uint64_t threaded_promotions_ = 0;
-  uint64_t threaded_deopts_ = 0;
 
   // Quantum-mode segment state (always quiescent outside a RunQuantum barrier
   // interval: segment inactive, nothing pending, buffer empty — so none of this is

@@ -185,8 +185,12 @@ void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
   }
 }
 
+// MCFG section layout version. Version 2 dropped three SimTuning fields: the TLB and
+// threaded-tier switches and the promotion threshold.
+constexpr uint32_t kMachineConfigVersion = 2;
+
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
-  writer.BeginSection(StateTag("MCFG"), 1);
+  writer.BeginSection(StateTag("MCFG"), kMachineConfigVersion);
   WriteConfigFingerprint(writer, config);
   writer.U64(config.isa.mvendorid);
   writer.U64(config.isa.marchid);
@@ -208,10 +212,7 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
   writer.U32(config.tuning.decode_cache_entries);
   writer.U32(config.tuning.max_batch_instructions);
   writer.U32(config.tuning.tlb_entries);
-  writer.Bool(config.tuning.tlb_enabled);
   writer.U32(config.tuning.superblock_entries);
-  writer.Bool(config.tuning.threaded_enabled);
-  writer.U32(config.tuning.threaded_promote_threshold);
   writer.Bool(config.tuning.quantum_harts);
   writer.Bool(config.tuning.parallel_harts);
   writer.EndSection();
@@ -219,7 +220,11 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
 
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   MachineConfig c;
-  reader.BeginSection(StateTag("MCFG"));
+  if (reader.BeginSection(StateTag("MCFG")) != kMachineConfigVersion) {
+    // Version 1 carried three tuning fields that no longer exist; its layout cannot
+    // be read as the current one.
+    reader.Fail("unsupported MCFG section version");
+  }
   c.hart_count = reader.U32();
   c.map.ram_base = reader.U64();
   c.map.ram_size = reader.U64();
@@ -256,10 +261,7 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   c.tuning.decode_cache_entries = reader.U32();
   c.tuning.max_batch_instructions = reader.U32();
   c.tuning.tlb_entries = reader.U32();
-  c.tuning.tlb_enabled = reader.Bool();
   c.tuning.superblock_entries = reader.U32();
-  c.tuning.threaded_enabled = reader.Bool();
-  c.tuning.threaded_promote_threshold = reader.U32();
   c.tuning.quantum_harts = reader.Bool();
   c.tuning.parallel_harts = reader.Bool();
   reader.EndSection();

@@ -252,9 +252,11 @@ class PagedHarness {
   static constexpr uint64_t kRoot = kRamBase + 0x1000;
   static constexpr uint64_t kCode = kRamBase + 0x8000;
 
-  explicit PagedHarness(bool tlb_enabled = true, bool hw_misaligned = false) {
+  explicit PagedHarness(bool with_tlb = true, bool hw_misaligned = false) {
     MachineConfig config;
-    config.tuning.tlb_enabled = tlb_enabled;
+    if (!with_tlb) {
+      config.tuning.tlb_entries = 0;
+    }
     config.isa.hw_misaligned = hw_misaligned;
     machine_ = std::make_unique<Machine>(config);
     hart_ = &machine_->hart(0);
@@ -384,8 +386,8 @@ TEST(SimEdgeTest, MisalignedAccessSpanningPagesMatchesUncachedBehaviour) {
   // (remapped, never cached). Translation — cached or walked — uses the first byte's
   // page only and the bus access is physically contiguous, so both machines must read
   // the same bytes and charge the same cycles.
-  const auto run = [](bool tlb_enabled) {
-    PagedHarness h(tlb_enabled, /*hw_misaligned=*/true);
+  const auto run = [](bool with_tlb) {
+    PagedHarness h(with_tlb, /*hw_misaligned=*/true);
     h.SetLeaf(4, kRamBase + 0x7000, 0xC7);  // VA 0x4000 -> a non-contiguous frame
     Bus& bus = h.machine().bus();
     bus.Write(kRamBase + 0x5FF8, 8, 0x1122334455667788);  // tail of VA 0x3000's frame

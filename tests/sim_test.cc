@@ -494,7 +494,9 @@ TEST_F(TlbTest, CycleAccountingIdenticalWithTlbDisabled) {
   // exactly the same simulated cycles with the TLB on and off.
   const auto run = [](bool enabled) {
     MachineConfig config;
-    config.tuning.tlb_enabled = enabled;
+    if (!enabled) {
+      config.tuning.tlb_entries = 0;
+    }
     Machine machine(config);
     Hart& hart = machine.hart(0);
     SetupPaging(machine);
@@ -529,7 +531,7 @@ TEST_F(TlbTest, CycleAccountingIdenticalWithTlbDisabled) {
 
 TEST_F(TlbTest, DisabledTlbCountsNothing) {
   MachineConfig config;
-  config.tuning.tlb_enabled = false;
+  config.tuning.tlb_entries = 0;
   Machine machine(config);
   Hart& hart = machine.hart(0);
   SetupPaging(machine);
@@ -738,36 +740,13 @@ TEST(SuperblockMachineTest, SelfModifyingLoopMatchesPerInstruction) {
   EXPECT_EQ(with_blocks, without_blocks);
 }
 
-// -- Threaded-code execution tier over superblocks (DESIGN.md §2g). -----------------
+// -- Lowered blocks and deopt (DESIGN.md §2f). ------------------------------------
 
-class ThreadedTierTest : public ::testing::Test {
+class ThreadedTierTest : public SuperblockTest {
  protected:
-  void Init(uint32_t threshold) {
-    MachineConfig config;
-    config.hart_count = 1;
-    config.tuning.superblock_entries = 2048;
-    config.tuning.threaded_enabled = true;
-    config.tuning.threaded_promote_threshold = threshold;
-    machine_ = std::make_unique<Machine>(config);
-    hart_ = &machine_->hart(0);
-  }
-
-  void LoadStraightLine() {
-    machine_->bus().Write(kRam, 4, 0x00100293);       // addi t0, zero, 1
-    machine_->bus().Write(kRam + 4, 4, 0x00200313);   // addi t1, zero, 2
-    machine_->bus().Write(kRam + 8, 4, 0x00300393);   // addi t2, zero, 3
-    machine_->bus().Write(kRam + 12, 4, 0x10500073);  // wfi
-  }
-
-  void RunPass() {
-    hart_->set_pc(kRam);
-    hart_->RunBatch(3, ~uint64_t{0});
-  }
-
-  // With threshold 1: pass 1 decodes per-instruction, pass 2 builds the superblock
-  // and the same dispatch reaches the threshold, so pass 2 already runs threaded.
-  void WarmPromoted() {
-    Init(1);
+  // Pass 1 decodes per-instruction; pass 2 builds the block, which is lowered as it
+  // is built, so that very dispatch already runs threaded.
+  void WarmLowered() {
     LoadStraightLine();
     RunPass();
     RunPass();
@@ -775,24 +754,18 @@ class ThreadedTierTest : public ::testing::Test {
     ASSERT_EQ(hart_->threaded_blocks(), 1u);
     ASSERT_EQ(hart_->threaded_instrs(), 3u);
   }
-
-  std::unique_ptr<Machine> machine_;
-  Hart* hart_;
 };
 
-TEST_F(ThreadedTierTest, PromotesOnExactlyTheThresholdDispatch) {
-  Init(3);
+TEST_F(ThreadedTierTest, FirstValidDispatchRunsLowered) {
   LoadStraightLine();
-  RunPass();  // per-instruction decode
-  RunPass();  // builds the block: valid dispatch 1
-  RunPass();  // valid dispatch 2 — one short of the threshold
+  RunPass();  // per-instruction decode: no block yet
   EXPECT_EQ(hart_->threaded_promotions(), 0u);
   EXPECT_EQ(hart_->threaded_blocks(), 0u);
-  RunPass();  // valid dispatch 3: lowers and runs threaded
+  RunPass();  // builds and lowers the block, then runs it threaded
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->threaded_instrs(), 3u);
-  RunPass();  // already lowered: reused, not re-promoted
+  RunPass();  // the valid block is reused, not lowered again
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
   EXPECT_EQ(hart_->threaded_instrs(), 6u);
@@ -801,8 +774,8 @@ TEST_F(ThreadedTierTest, PromotesOnExactlyTheThresholdDispatch) {
   EXPECT_EQ(hart_->gpr(t2), 3u);
 }
 
-TEST_F(ThreadedTierTest, FenceIDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(ThreadedTierTest, FenceIInvalidatesLoweredBlock) {
+  WarmLowered();
   machine_->bus().Write(kRam + 0x1000, 4, 0x0000100F);  // fence.i
   hart_->set_pc(kRam + 0x1000);
   hart_->Tick();
@@ -811,29 +784,29 @@ TEST_F(ThreadedTierTest, FenceIDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->threaded_promotions(), 1u);
   EXPECT_EQ(hart_->gpr(t2), 3u);  // identical architectural outcome either way
-  RunPass();  // rebuild re-warms from zero and re-promotes
+  RunPass();  // rebuilt and lowered again
   EXPECT_EQ(hart_->threaded_promotions(), 2u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST_F(ThreadedTierTest, StoreToExecPageDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(ThreadedTierTest, StoreToExecPageInvalidatesLoweredBlock) {
+  WarmLowered();
   EXPECT_EQ(hart_->gpr(t2), 3u);
-  // Overwrite the third instruction of the promoted block in guest RAM.
+  // Overwrite the third instruction of the lowered block in guest RAM.
   machine_->bus().Write(kRam + 8, 4, 0x00700393);  // addi t2, zero, 7
   hart_->set_gpr(t2, 0);
   RunPass();  // stale: per-instruction execution already sees the patched word
   EXPECT_EQ(hart_->threaded_blocks(), 1u);
   EXPECT_EQ(hart_->gpr(t2), 7u);
   hart_->set_gpr(t2, 0);
-  RunPass();  // rebuilt from the new bytes and re-promoted
+  RunPass();  // rebuilt from the new bytes and lowered again
   EXPECT_EQ(hart_->threaded_promotions(), 2u);
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
   EXPECT_EQ(hart_->gpr(t2), 7u);
 }
 
-TEST_F(ThreadedTierTest, PmpRewriteDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(ThreadedTierTest, PmpRewriteInvalidatesLoweredBlock) {
+  WarmLowered();
   hart_->csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
   hart_->csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
   hart_->set_gpr(t2, 0);
@@ -845,10 +818,10 @@ TEST_F(ThreadedTierTest, PmpRewriteDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST_F(ThreadedTierTest, SatpChangeDemotesPromotedBlock) {
-  WarmPromoted();
+TEST_F(ThreadedTierTest, SatpChangeInvalidatesLoweredBlock) {
+  WarmLowered();
   // Blocks (and their lowerings) are keyed on the effective satp: a switched address
-  // space must rebuild rather than reuse the promoted lowering.
+  // space must rebuild rather than reuse the lowering.
   hart_->csrs().Set(kCsrSatp, (uint64_t{8} << 60) | ((kRam + 0x1000) >> 12));
   hart_->set_gpr(t2, 0);
   RunPass();
@@ -859,19 +832,16 @@ TEST_F(ThreadedTierTest, SatpChangeDemotesPromotedBlock) {
   EXPECT_EQ(hart_->threaded_blocks(), 2u);
 }
 
-TEST(ThreadedMachineTest, SelfModifyingStoreInPromotedBlockDeopts) {
+TEST(ThreadedMachineTest, SelfModifyingStoreInLoweredBlockDeopts) {
   // A patching store that walks one page per iteration through data RAM (host-
-  // pointer fast path, no code invalidation) while its block warms up and gets
-  // promoted, then lands on the code page on iteration 11 — so the invalidating
-  // store executes *inside* the promoted threaded block. The mid-block deopt must
-  // replay the rest of the block bit-identically, and the whole run — with the
-  // tier at either threshold, or off — must retire the same instructions in the
-  // same simulated cycles.
-  const auto run = [](bool threaded, uint32_t threshold, uint64_t* deopts) {
+  // pointer fast path, no code invalidation), then lands on the code page on
+  // iteration 11 — so the invalidating store executes *inside* the lowered block.
+  // The mid-block deopt must hand the rest of the block to per-instruction
+  // execution bit-identically: with the block tier on or off, the run must retire
+  // the same instructions in the same simulated cycles.
+  const auto run = [](uint32_t sb_entries, uint64_t* deopts) {
     MachineConfig config;
-    config.tuning.superblock_entries = 2048;
-    config.tuning.threaded_enabled = threaded;
-    config.tuning.threaded_promote_threshold = threshold;
+    config.tuning.superblock_entries = sb_entries;
     Machine machine(config);
     Hart& hart = machine.hart(0);
     Assembler a(kRam + 0xC000);
@@ -902,18 +872,99 @@ TEST(ThreadedMachineTest, SelfModifyingStoreInPromotedBlockDeopts) {
                            hart.pc(), hart.decode_cache_hits(),
                            hart.decode_cache_misses());
   };
-  uint64_t eager_deopts = 0;
-  uint64_t default_deopts = 0;
+  uint64_t lowered_deopts = 0;
   uint64_t off_deopts = 0;
-  const auto eager = run(true, 1, &eager_deopts);
-  const auto defaulted = run(true, 8, &default_deopts);
-  const auto off = run(false, 8, &off_deopts);
-  EXPECT_TRUE(std::get<0>(eager));
-  EXPECT_EQ(std::get<1>(eager), 26u);  // 12 * 1 + 2 * 7
-  EXPECT_GE(eager_deopts, 1u);         // the store fired inside a promoted block
+  const auto lowered = run(2048, &lowered_deopts);
+  const auto off = run(0, &off_deopts);
+  EXPECT_TRUE(std::get<0>(lowered));
+  EXPECT_EQ(std::get<1>(lowered), 26u);  // 12 * 1 + 2 * 7
+  EXPECT_GE(lowered_deopts, 1u);         // the store fired inside a lowered block
   EXPECT_EQ(off_deopts, 0u);
-  EXPECT_EQ(eager, defaulted);
-  EXPECT_EQ(eager, off);
+  EXPECT_EQ(lowered, off);
+}
+
+// Fused ops retire several instructions at once, so a batch boundary that falls
+// inside one cannot be honoured by the op: the block deopts at the op's first
+// member and RunBatch Tick()s the members up to the exact boundary. The loop below
+// carries a four-member li/addi/xori constant chain and a fused slt+bnez, and is run
+// with boundaries at every offset — through tiny max_batch_instructions, and through
+// stop-cycle edges a few cycles apart — against the decode-cache-only tuning (the
+// dcache-notlb lockstep point), which has no block tier.
+class FusedOpBoundaryTest : public ::testing::Test {
+ protected:
+  // Hart state after every batch: (pc, instret, cycles, batch executed, retired).
+  using BatchTrace = std::vector<std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>>;
+  struct Outcome {
+    BatchTrace trace;
+    bool finished = false;
+    uint64_t s4 = 0;
+    uint64_t deopts = 0;
+  };
+
+  // Runs the loop in batches of at most `max_batch` instructions, each also ending
+  // at a stop-cycle edge `stop_step` cycles out (0: no edge).
+  static Outcome Run(bool block_tier, uint32_t max_batch, uint64_t stop_step) {
+    MachineConfig config;
+    config.tuning.decode_cache_entries = 16384;
+    config.tuning.tlb_entries = 0;
+    config.tuning.superblock_entries = block_tier ? 2048 : 0;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    Assembler a(kRam);
+    a.Li(s2, 0);
+    a.Li(s3, 40);
+    a.Li(s4, 0);
+    a.Bind("loop");
+    a.Li(a0, 0x12345678);  // lui + addiw: the head of a constant chain
+    a.Addi(a0, a0, 3);
+    a.Xori(a0, a0, 0x55);
+    a.Add(s4, s4, a0);
+    a.Add(s4, s4, s2);
+    a.Addi(s2, s2, 1);
+    a.Slt(t0, s2, s3);  // fuses with the bnez below
+    a.Bnez(t0, "loop");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    Outcome out;
+    for (int i = 0; i < 10000 && !machine.finisher().finished(); ++i) {
+      const uint64_t stop = stop_step == 0 ? ~uint64_t{0} : hart.cycles() + stop_step;
+      const Hart::BatchResult batch = hart.RunBatch(max_batch, stop);
+      out.trace.emplace_back(hart.pc(), hart.instret(), hart.cycles(), batch.executed,
+                             batch.retired);
+    }
+    out.finished = machine.finisher().finished();
+    out.s4 = hart.gpr(s4);
+    out.deopts = hart.threaded_deopts();
+    return out;
+  }
+};
+
+TEST_F(FusedOpBoundaryTest, MaxBatchBoundaryInsideFusedOpsMatchesDecodeCacheOnly) {
+  for (const uint32_t max_batch : {1u, 2u, 3u, 5u, 7u, 11u}) {
+    SCOPED_TRACE(max_batch);
+    const Outcome lowered = Run(true, max_batch, 0);
+    const Outcome reference = Run(false, max_batch, 0);
+    EXPECT_TRUE(lowered.finished);
+    EXPECT_EQ(lowered.s4, reference.s4);
+    EXPECT_EQ(lowered.trace, reference.trace);
+    EXPECT_GE(lowered.deopts, 1u);  // a boundary really fell inside a fused op
+  }
+}
+
+TEST_F(FusedOpBoundaryTest, StopCycleEdgeInsideFusedOpsMatchesDecodeCacheOnly) {
+  for (const uint64_t stop_step : {1u, 2u, 3u, 5u, 7u, 13u}) {
+    SCOPED_TRACE(stop_step);
+    const Outcome lowered = Run(true, 4096, stop_step);
+    const Outcome reference = Run(false, 4096, stop_step);
+    EXPECT_TRUE(lowered.finished);
+    EXPECT_EQ(lowered.s4, reference.s4);
+    EXPECT_EQ(lowered.trace, reference.trace);
+    EXPECT_GE(lowered.deopts, 1u);
+  }
 }
 
 // -- WFI idle fast-forward (Machine::FastForwardIdle). ------------------------------

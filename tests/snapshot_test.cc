@@ -20,6 +20,7 @@
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
 #include "src/sim/machine.h"
+#include "src/trace/trace.h"
 
 namespace vfm {
 namespace {
@@ -309,7 +310,7 @@ TEST(SnapshotRoundTripTest, TwoHartProgramRoundTrips) {
   gen.num_actions = 96;
   gen.budget = 20'000;
   CosimProgram program = GenerateProgram(/*seed=*/0xabc1, gen);
-  const LockstepConfig& config = LockstepConfigs()[6];  // threaded, full caches
+  const LockstepConfig& config = *FindLockstepConfig("threaded");  // full caches
   const RunOutcome whole = RunProgram(program, config, /*with_refmodel=*/false);
   ASSERT_TRUE(whole.build_error.empty()) << whole.build_error;
   const RunOutcome split = RunProgramSplit(program, config, /*snapshot_at=*/4'000);
@@ -398,7 +399,7 @@ TEST(ForkTest, ForkedChildrenRunDifferentProgramsIndependently) {
   gen.budget = 10'000;
   const CosimProgram prog_a = GenerateProgram(101, gen);
   const CosimProgram prog_b = GenerateProgram(202, gen);
-  const LockstepConfig& config = LockstepConfigs()[4];  // superblock tuning
+  const LockstepConfig& config = *FindLockstepConfig("threaded");  // block tier
 
   const RunOutcome fresh_a = RunProgram(prog_a, config, /*with_refmodel=*/false);
   const RunOutcome fresh_b = RunProgram(prog_b, config, /*with_refmodel=*/false);
@@ -413,6 +414,92 @@ TEST(ForkTest, ForkedChildrenRunDifferentProgramsIndependently) {
 }
 
 // ---------------------------------------------------------------------------------
+// Snapshot-file config versioning: version 1 of the MCFG section carried three more
+// tuning fields (a TLB switch, a threaded-tier switch and its promotion threshold)
+// than version 2. A current reader must refuse a version-1 file through its failure
+// status, never read the tuning tail shifted.
+
+// Writes `config` + `snapshot` as a snapshot file whose MCFG section has the
+// version-1 layout, byte for byte what a version-1 writer produced.
+void WriteVersion1SnapshotFile(const std::string& path, const MachineConfig& config,
+                               const Snapshot& snapshot) {
+  StateWriter writer;
+  writer.BeginSection(StateTag("SNPF"), 1);
+  writer.BeginSection(StateTag("MCFG"), 1);
+  writer.U32(config.hart_count);
+  writer.U64(config.map.ram_base);
+  writer.U64(config.map.ram_size);
+  writer.U64(config.map.clint_base);
+  writer.U64(config.map.plic_base);
+  writer.U64(config.map.uart_base);
+  writer.U64(config.map.blockdev_base);
+  writer.U64(config.map.finisher_base);
+  writer.Bool(config.blockdev.enabled);
+  writer.U64(config.blockdev.sectors);
+  writer.U32(config.isa.pmp_entries);
+  writer.Bool(config.isa.has_time_csr);
+  writer.Bool(config.isa.has_sstc);
+  writer.Bool(config.isa.has_h_ext);
+  writer.Bool(config.isa.has_custom_csrs);
+  writer.Bool(config.isa.hw_misaligned);
+  writer.U64(config.isa.mvendorid);
+  writer.U64(config.isa.marchid);
+  writer.U64(config.isa.mimpid);
+  writer.U64(config.blockdev.latency_ticks);
+  writer.U64(config.blockdev.ticks_per_sector);
+  const CostModel& cost = config.cost;
+  for (const uint64_t v : {cost.instr_base, cost.instr_muldiv, cost.instr_mem, cost.trap_entry,
+                           cost.page_walk_level, cost.hal_csr_access, cost.monitor_dispatch,
+                           cost.hal_mem_access, cost.hal_base_op, cost.tlb_flush,
+                           cost.mtime_tick_cycles, cost.freq_mhz}) {
+    writer.U64(v);
+  }
+  writer.U32(config.tuning.decode_cache_entries);
+  writer.U32(config.tuning.max_batch_instructions);
+  writer.U32(config.tuning.tlb_entries);
+  writer.Bool(true);  // TLB switch
+  writer.U32(config.tuning.superblock_entries);
+  writer.Bool(true);  // threaded-tier switch
+  writer.U32(8);      // promotion threshold
+  writer.Bool(config.tuning.quantum_harts);
+  writer.Bool(config.tuning.parallel_harts);
+  writer.EndSection();
+  writer.Bytes(snapshot.state.data(), snapshot.state.size());
+  writer.U32(static_cast<uint32_t>(snapshot.ram.size()));
+  for (const std::shared_ptr<RamImage>& image : snapshot.ram) {
+    std::vector<uint8_t> contents(image->size());
+    image->CopyTo(contents.data());
+    writer.Bytes(contents.data(), contents.size());
+  }
+  writer.Bytes(nullptr, 0);  // aux
+  writer.EndSection();
+  ASSERT_TRUE(WriteTraceFile(path, writer.bytes()));
+}
+
+TEST(SnapshotFileVersionTest, RejectsVersion1MachineConfig) {
+  MachineConfig mc;
+  mc.map.ram_size = 1 << 20;
+  Machine machine(mc);
+  Snapshot snapshot;
+  machine.SaveSnapshot(snapshot);
+
+  // Control: the same machine written by the current writer reads back.
+  const std::string current = ::testing::TempDir() + "/snapshot_test_v2.snap";
+  ASSERT_TRUE(WriteSnapshotFile(current, mc, snapshot, {}));
+  MachineConfig config_back;
+  Snapshot back;
+  EXPECT_TRUE(ReadSnapshotFile(current, &config_back, &back));
+
+  const std::string old = ::testing::TempDir() + "/snapshot_test_v1.snap";
+  WriteVersion1SnapshotFile(old, mc, snapshot);
+  MachineConfig untouched;
+  untouched.hart_count = 7;
+  Snapshot rejected;
+  EXPECT_FALSE(ReadSnapshotFile(old, &untouched, &rejected));
+  EXPECT_EQ(untouched.hart_count, 7u);  // a refused config is never handed out
+}
+
+// ---------------------------------------------------------------------------------
 // Restore-then-self-modify: a store to an executed page right after RestoreSnapshot
 // must invalidate whatever the restored machine's caches think they know (the
 // generation-bump-on-load invariant).
@@ -423,11 +510,8 @@ TEST(SnapshotRoundTripTest, RestoreThenSelfModifyTakesEffect) {
   mc.tuning.decode_cache_entries = 16384;
   mc.tuning.superblock_entries = 2048;
   mc.tuning.tlb_entries = 4096;
-  mc.tuning.tlb_enabled = true;
-  mc.tuning.threaded_enabled = true;
-  mc.tuning.threaded_promote_threshold = 1;
 
-  // A tiny program: a counted loop that the threaded tier promotes, then finish.
+  // A tiny program: a counted loop that runs as a lowered block, then finish.
   //   loop: addi a0, a0, 1 ; bne a0, a1, loop ; <finish store>
   const uint64_t base = mc.map.ram_base;
   Machine machine(mc);
