@@ -8,6 +8,7 @@
 #include <chrono>
 
 #include "bench/bench_util.h"
+#include "src/asm/assembler.h"
 #include "src/common/log.h"
 #include "src/core/vcpu.h"
 #include "src/core/vpmp.h"
@@ -130,6 +131,49 @@ double MeasureMultiHartMips(unsigned harts, bool quantum, bool parallel) {
   return seconds > 0 ? static_cast<double>(instructions) / seconds / 1e6 : 0.0;
 }
 
+// Store-next-to-code workload: a loop that read-modify-writes one data word in its
+// own 4 KiB page, outside the 64-byte granules its instructions occupy — the layout
+// of firmware trap frames and of kernel data slots placed right after code. Only a
+// store into cached code has to invalidate it (DESIGN.md §2b), so this loop should
+// run like any other memory loop. Sv39 is on, as for the memory workload, so the
+// stores take the host-pointer fast path. Returns MIPS; *invalidations receives the
+// code invalidations the measured run caused.
+double MeasureStoreNearCodeMips(uint64_t* invalidations) {
+  PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  KernelConfig config;
+  config.base = profile.kernel_base;
+  config.enable_paging = true;
+  KernelBuilder kb(config);
+  Assembler& a = kb.assembler();
+  a.J("snc_start");
+  a.Align(4096);  // the loop, its exit and its data word share one page
+  a.Bind("snc_start");
+  a.La(s4, "snc_data");
+  a.Li(s2, 1'000'000'000);  // effectively endless
+  a.Bind("snc_loop");
+  a.Ld(t0, s4, 0);
+  a.Addi(t0, t0, 1);
+  a.Sd(t0, s4, 0);
+  a.Addi(s2, s2, -1);
+  a.Bnez(s2, "snc_loop");
+  kb.EmitFinish(true);
+  a.Align(64);  // a granule past all of the code
+  a.Bind("snc_data");
+  a.Word64(0);
+  System system = BootSystem(profile, DeployMode::kNative, kb.Finish());
+  system.machine->RunUntilFinished(20'000);  // skip boot: steady-state only
+  const uint64_t start_instret = system.machine->total_instret();
+  const uint64_t start_invalidations = system.machine->bus().code_generation();
+  constexpr uint64_t kMeasured = 10'000'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  system.machine->RunUntilFinished(kMeasured);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  *invalidations = system.machine->bus().code_generation() - start_invalidations;
+  const uint64_t instructions = system.machine->total_instret() - start_instret;
+  return seconds > 0 ? static_cast<double>(instructions) / seconds / 1e6 : 0.0;
+}
+
 // Dedicated timed run for the machine-readable result file: boots the same native
 // compute loop as BM_InterpreterThroughput and measures wall-clock throughput plus
 // the decoded-instruction cache hit rate over a fixed instruction count.
@@ -207,6 +251,9 @@ void WriteSimSpeedJson() {
   const uint64_t fp_ops_mem =
       fp_hits_mem + (mem_hart.host_fastpath_misses() - mem_start_fp_misses);
 
+  uint64_t store_near_code_invalidations = 0;
+  const double store_near_code_mips = MeasureStoreNearCodeMips(&store_near_code_invalidations);
+
   // Multi-hart throughput matrix: the deterministic quantum schedule, serial and
   // parallel, against the per-instruction timeshared loop at 4 harts (the CI gate
   // compares parallel against timeshared at equal hart count).
@@ -241,6 +288,8 @@ void WriteSimSpeedJson() {
   json.Add("memory_mips",
            mem_seconds > 0 ? static_cast<double>(mem_instructions) / mem_seconds / 1e6 : 0.0);
   json.Add("compute_fastpath_ops", static_cast<double>(fp_ops));
+  json.Add("store_near_code_mips", store_near_code_mips);
+  json.Add("store_near_code_invalidations", static_cast<double>(store_near_code_invalidations));
   json.Add("threaded_hit_rate",
            instructions > 0 ? static_cast<double>(th_instrs) / static_cast<double>(instructions)
                             : 0.0);

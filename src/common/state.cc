@@ -31,6 +31,9 @@ bool StateReader::Take(void* out, size_t size) {
   if (!ok()) {
     return false;
   }
+  if (size == 0) {
+    return true;  // an empty blob may have a null destination: memcpy must not see it
+  }
   const size_t limit = limits_.empty() ? size_ : limits_.back();
   if (pos_ + size > limit) {
     Fail("state stream truncated");

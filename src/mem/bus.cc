@@ -1,5 +1,6 @@
 #include "src/mem/bus.h"
 
+#include <algorithm>
 #include <cstring>
 
 #ifdef __linux__
@@ -39,7 +40,13 @@ uint64_t Ram::map_size() const {
 Ram::Ram(uint64_t base, uint64_t size)
     : base_(base),
       size_(size),
-      page_marks_((size + (uint64_t{1} << kPageShift) - 1) >> kPageShift, 0) {
+      page_count_((size + (uint64_t{1} << kPageShift) - 1) >> kPageShift) {
+  ZeroedLayout layout;
+  const size_t marks_at = layout.Add<uint8_t>(page_count_);
+  const size_t code_at = layout.Add<CodePage>(page_count_);
+  page_meta_ = ZeroedMemory(layout.size());
+  page_marks_ = page_meta_.At<uint8_t>(marks_at);
+  code_pages_ = page_meta_.At<CodePage>(code_at);
 #ifdef __linux__
   // Preferred backing: an owned memfd mapped shared. Freezing then costs nothing —
   // the fd transfers into the RamImage and this mapping flips to a private view.
@@ -202,14 +209,12 @@ bool Bus::WriteSlow(uint64_t addr, unsigned size, uint64_t value) {
   if (const Ram* region = FindRam(addr, size)) {
     Ram* mutable_region = const_cast<Ram*>(region);
     const uint64_t offset = addr - region->base();
-    const uint8_t marks = static_cast<uint8_t>(
-        mutable_region->page_marks()[offset >> Ram::kPageShift] |
-        mutable_region->page_marks()[(offset + size - 1) >> Ram::kPageShift]);
-    if (marks != 0) {
-      InvalidateMarkedPages(marks);
+    if ((mutable_region->page_marks()[offset >> Ram::kPageShift] |
+         mutable_region->page_marks()[(offset + size - 1) >> Ram::kPageShift]) != 0) {
+      InvalidateOverlap(mutable_region, offset, size);
     }
     mutable_region->SetMaybeDirty();
-    std::memcpy(mutable_region->data() + (addr - region->base()), &value, size);
+    std::memcpy(mutable_region->data() + offset, &value, size);
     return true;
   }
   if (const MmioWindow* window = FindMmio(addr)) {
@@ -239,16 +244,8 @@ bool Bus::WriteBytes(uint64_t addr, const void* data, uint64_t size) {
     return false;
   }
   Ram* mutable_region = const_cast<Ram*>(region);
-  if (any_marks_) {
-    const uint64_t first = (addr - region->base()) >> Ram::kPageShift;
-    const uint64_t last = (addr - region->base() + size - 1) >> Ram::kPageShift;
-    uint8_t marks = 0;
-    for (uint64_t page = first; page <= last; ++page) {
-      marks |= mutable_region->page_marks()[page];
-    }
-    if (marks != 0) {
-      InvalidateMarkedPages(marks);
-    }
+  if (size != 0 && any_marks_.load(std::memory_order_relaxed)) {
+    InvalidateOverlap(mutable_region, addr - region->base(), size);
   }
   mutable_region->SetMaybeDirty();
   std::memcpy(mutable_region->data() + (addr - region->base()), data, size);
@@ -257,7 +254,8 @@ bool Bus::WriteBytes(uint64_t addr, const void* data, uint64_t size) {
 
 bool Bus::IsRam(uint64_t addr, uint64_t size) const { return FindRam(addr, size) != nullptr; }
 
-bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const {
+bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
+                   const CodePage** code) const {
   const uint64_t page_base = paddr & ~((uint64_t{1} << Ram::kPageShift) - 1);
   const Ram* region = FindRam(page_base, uint64_t{1} << Ram::kPageShift);
   if (region == nullptr || (region->base() & ((uint64_t{1} << Ram::kPageShift) - 1)) != 0) {
@@ -268,22 +266,29 @@ bool Bus::HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const 
   const uint64_t offset = page_base - region->base();
   *data = mutable_region->data() + offset;
   *marks = mutable_region->page_marks() + (offset >> Ram::kPageShift);
+  *code = mutable_region->code_pages() + (offset >> Ram::kPageShift);
   return true;
 }
 
 // Mark setting uses relaxed atomic OR: during quantum-mode segments several harts
 // fill their caches (and therefore mark pages) concurrently. Marks are monotonic
-// within a segment — only ever set, never read or cleared until the next barrier —
-// so relaxed ordering is sufficient (DESIGN.md §2i).
-void Bus::MarkExecPage(uint64_t paddr) {
+// within a segment — only ever set, never read or cleared until the next barrier,
+// where stores (and so invalidations) happen — and code generations are only
+// written there too, so relaxed ordering is sufficient (DESIGN.md §2i).
+const uint64_t* Bus::MarkCode(uint64_t paddr) {
   const Ram* region = FindRam(paddr, 1);
   if (region == nullptr) {
-    return;
+    return nullptr;
   }
-  uint8_t* slot =
-      &const_cast<Ram*>(region)->page_marks()[(paddr - region->base()) >> Ram::kPageShift];
-  __atomic_fetch_or(slot, kExecMark, __ATOMIC_RELAXED);
+  Ram* mutable_region = const_cast<Ram*>(region);
+  const uint64_t offset = paddr - region->base();
+  const uint64_t page = offset >> Ram::kPageShift;
+  CodePage& code = mutable_region->code_pages()[page];
+  __atomic_fetch_or(&code.granules, uint64_t{1} << ((offset >> kGranuleShift) & 63),
+                    __ATOMIC_RELAXED);
+  __atomic_fetch_or(&mutable_region->page_marks()[page], kExecMark, __ATOMIC_RELAXED);
   any_marks_.store(true, std::memory_order_relaxed);
+  return &code.generation;
 }
 
 bool Bus::MarkPtPage(uint64_t paddr) {
@@ -308,9 +313,8 @@ void Bus::AdoptRam(const std::vector<std::shared_ptr<RamImage>>& images) {
   VFM_CHECK_MSG(images.size() == ram_.size(), "snapshot RAM region count mismatch");
   for (size_t i = 0; i < ram_.size(); ++i) {
     ram_[i]->AdoptImage(images[i]);
-    std::memset(ram_[i]->page_marks(), 0, ram_[i]->page_count());
   }
-  any_marks_ = false;
+  ClearMarks(kExecMark | kPtMark);
 }
 
 void Bus::SetRamMaybeDirty() {
@@ -352,32 +356,71 @@ bool Bus::LoadState(StateReader& reader) {
   }
   // All translation caches are being reset by the restore, so dependency marks
   // restart empty and rebuild on refill.
-  for (auto& region : ram_) {
-    std::memset(region->page_marks(), 0, region->page_count());
-  }
-  any_marks_ = false;
+  ClearMarks(kExecMark | kPtMark);
   return true;
 }
 
-void Bus::InvalidateMarkedPages(uint8_t marks) {
-  if ((marks & kExecMark) != 0) {
-    ++code_generation_;
-  }
-  if ((marks & kPtMark) != 0) {
-    ++pt_generation_;
-  }
-  // Clear only the invalidated classes; other classes' marks stay live.
-  const uint8_t keep = static_cast<uint8_t>(~marks);
-  bool any = false;
-  for (auto& region : ram_) {
-    uint8_t* page_marks = region->page_marks();
-    const uint64_t count = region->page_count();
-    for (uint64_t i = 0; i < count; ++i) {
-      page_marks[i] &= keep;
-      any |= page_marks[i] != 0;
+void Bus::InvalidateOverlap(Ram* region, uint64_t offset, uint64_t size) {
+  uint8_t* marks = region->page_marks();
+  CodePage* code = region->code_pages();
+  const uint64_t end = offset + size;
+  bool code_hit = false;
+  bool pt_hit = false;
+  for (uint64_t page = offset >> Ram::kPageShift; page <= (end - 1) >> Ram::kPageShift;
+       ++page) {
+    const uint8_t mark = marks[page];
+    pt_hit |= (mark & kPtMark) != 0;
+    if ((mark & kExecMark) == 0) {
+      continue;
+    }
+    // The granules of this page the store overwrites: [first, last] within the page.
+    const uint64_t page_base = page << Ram::kPageShift;
+    const unsigned first =
+        static_cast<unsigned>((std::max(offset, page_base) - page_base) >> kGranuleShift);
+    const unsigned last = static_cast<unsigned>(
+        (std::min(end, page_base + (uint64_t{1} << Ram::kPageShift)) - 1 - page_base) >>
+        kGranuleShift);
+    const uint64_t overwritten = (~uint64_t{0} >> (63 - last)) & (~uint64_t{0} << first);
+    if ((code[page].granules & overwritten) != 0) {
+      // Only this page's entries depended on the bytes: bump its generation (their
+      // stamps now mismatch) and drop its granules, which refills re-mark.
+      ++code[page].generation;
+      code[page].granules = 0;
+      marks[page] &= static_cast<uint8_t>(~kExecMark);
+      code_hit = true;
     }
   }
-  any_marks_ = any;
+  if (code_hit) {
+    ++code_generation_;
+  }
+  if (pt_hit) {
+    ++pt_generation_;
+    ClearMarks(kPtMark);
+  }
+}
+
+void Bus::ClearMarks(uint8_t classes) {
+  if (!any_marks_.load(std::memory_order_relaxed)) {
+    return;  // nothing was ever marked (a freshly forked machine): skip the scan
+  }
+  if (classes == (kExecMark | kPtMark)) {
+    any_marks_.store(false, std::memory_order_relaxed);
+  }
+  const uint8_t keep = static_cast<uint8_t>(~classes);
+  for (auto& region : ram_) {
+    uint8_t* marks = region->page_marks();
+    CodePage* code = region->code_pages();
+    const uint64_t count = region->page_count();
+    for (uint64_t i = 0; i < count; ++i) {
+      if ((marks[i] & classes) == 0) {
+        continue;  // read-only: untouched pages of the mapping stay uncommitted
+      }
+      if ((marks[i] & classes & kExecMark) != 0) {
+        code[i].granules = 0;
+      }
+      marks[i] &= keep;
+    }
+  }
 }
 
 }  // namespace vfm

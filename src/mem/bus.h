@@ -6,13 +6,22 @@
 //  - a RAM fast path: Read/Write are inlined bounds checks against the primary RAM
 //    region, falling back to the ordered region/window scan only for secondary
 //    regions and MMIO;
-//  - dependency-page tracking for the harts' translation-layer caches: each 4 KiB RAM
-//    page carries a mark bitmask recording which cache classes depend on its bytes —
-//    exec marks (decoded-instruction cache: instruction bytes and the PTEs a cached
-//    fetch walk read) and page-table marks (software TLB: every PTE page a cached
-//    translation read). A store into a marked page bumps the matching generation
-//    counter(s) (`code_generation()` / `pt_generation()`), invalidating every
-//    dependent cache entry at once; caches re-mark as they refill.
+//  - dependency tracking for the harts' translation-layer caches, in two classes:
+//    * code, precise and page-local. Each 4 KiB RAM page records which of its
+//      64-byte granules hold instruction bytes a cached decode or block depends on
+//      (CodePage::granules), plus a per-page code generation that those entries
+//      stamp. A store that overlaps a marked granule bumps that one page's
+//      generation and clears that page's granules — O(1), no RAM scan, and entries
+//      filled from other pages keep hitting. A store that lands next to code but
+//      outside its granules (firmware trap frames, data slots in a kernel image)
+//      invalidates nothing. 64-byte granules keep a page's mask one word.
+//    * page tables, global. Pages holding PTEs a cached translation read — TLB fills
+//      and decode-cache fetch walks alike — carry a PT mark; a store into one bumps
+//      pt_generation(), which the harts fold into both their TLB and decode-cache
+//      stamps, and clears every PT mark. Guests rarely store into live page tables,
+//      so this class keeps the simple whole-RAM clear.
+//    Each page also has one mark byte (kExecMark: the page has code granules;
+//    kPtMark) so a store into an unmarked page costs one byte test per end.
 
 #ifndef SRC_MEM_BUS_H_
 #define SRC_MEM_BUS_H_
@@ -24,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/zeroed_memory.h"
 #include "src/mem/cow.h"
 
 namespace vfm {
@@ -67,6 +77,13 @@ class MmioDevice {
   virtual bool LoadState(StateReader& reader);
 };
 
+// Code-dependency state of one 4 KiB RAM page (see the header comment). All-zero is
+// the unmarked state of a fresh page.
+struct CodePage {
+  uint64_t granules;    // bit g: bytes [64 g, 64 g + 64) hold code a cached entry decoded
+  uint64_t generation;  // bumped by every store that overlaps a marked granule
+};
+
 // A contiguous RAM region. Backing is a host-page-aligned mmap (heap fallback where
 // mmap is unavailable), so snapshots can hold RAM as page-granular copy-on-write
 // references: Freeze() detaches the current contents into an immutable refcounted
@@ -90,10 +107,11 @@ class Ram {
   uint8_t* data() { return data_; }
   const uint8_t* data() const { return data_; }
 
-  // Dependency-page marks: one bitmask byte per 4 KiB page (see Bus::MarkExecPage /
-  // Bus::MarkPtPage).
-  uint8_t* page_marks() { return page_marks_.data(); }
-  uint64_t page_count() const { return page_marks_.size(); }
+  // Dependency tracking, one slot per 4 KiB page: the mark byte (Bus::kExecMark,
+  // Bus::kPtMark) and the code granules and generation (see Bus::MarkCode).
+  uint8_t* page_marks() { return page_marks_; }
+  CodePage* code_pages() { return code_pages_; }
+  uint64_t page_count() const { return page_count_; }
 
   // -- Snapshot support (DESIGN.md §2h). --------------------------------------------
   // Captures the current contents as an immutable CoW image. O(1) when the region is
@@ -122,16 +140,22 @@ class Ram {
   std::shared_ptr<RamImage> image_;  // set while data_ is a private view of it
   bool maybe_dirty_ = true;
   std::vector<uint8_t> heap_;        // fallback backing when mmap is unavailable
-  std::vector<uint8_t> page_marks_;
+  uint64_t page_count_;
+  ZeroedMemory page_meta_;  // holds page_marks_ and code_pages_, one slot per page
+  uint8_t* page_marks_;
+  CodePage* code_pages_;
 };
 
 // The physical bus: an ordered set of RAM regions and MMIO windows.
 class Bus {
  public:
-  // Mark classes in a page's mark byte. Exec marks back the decoded-instruction
-  // caches; PT marks back the software TLBs (src/sim/hart.h).
+  // Mark classes in a page's mark byte. kExecMark: the page has marked code granules
+  // (decode cache and blocks). kPtMark: the page holds PTEs a cached translation read
+  // (software TLBs and decode-cache fetch walks; src/sim/hart.h).
   static constexpr uint8_t kExecMark = 1 << 0;
   static constexpr uint8_t kPtMark = 1 << 1;
+  // Code granules are 64 bytes: 64 per page, one bit each in CodePage::granules.
+  static constexpr unsigned kGranuleShift = 6;
 
   // Adds a RAM region. Regions must not overlap.
   Ram* AddRam(uint64_t base, uint64_t size);
@@ -156,11 +180,9 @@ class Bus {
     const uint64_t offset = addr - ram0_base_;
     if (offset < ram0_limit_ && offset + size <= ram0_limit_) {
       // Both end bytes checked: a misaligned store may cross into a marked page.
-      const uint8_t marks =
-          static_cast<uint8_t>(ram0_marks_[offset >> Ram::kPageShift] |
-                               ram0_marks_[(offset + size - 1) >> Ram::kPageShift]);
-      if (marks != 0) {
-        InvalidateMarkedPages(marks);
+      if ((ram0_marks_[offset >> Ram::kPageShift] |
+           ram0_marks_[(offset + size - 1) >> Ram::kPageShift]) != 0) {
+        InvalidateOverlap(ram0_region_, offset, size);
       }
       ram0_region_->SetMaybeDirty();
       std::memcpy(ram0_data_ + offset, &value, size);
@@ -177,16 +199,22 @@ class Bus {
   // True if [addr, addr+size) lies fully inside a single RAM region.
   bool IsRam(uint64_t addr, uint64_t size) const;
 
-  // -- Dependency-page tracking (cache invalidation). -------------------------------
-  // Marks the page containing `paddr` as one a cached decode depends on. Stores into
-  // exec-marked pages bump code_generation() and clear all exec marks (the harts'
-  // caches re-mark on refill). Addresses outside RAM are ignored.
-  void MarkExecPage(uint64_t paddr);
+  // -- Dependency tracking (cache invalidation). -----------------------------------
+  // Marks the 64-byte granule holding the instruction at `paddr` (4-byte aligned, so
+  // one granule) as code a cached entry decoded, and returns its page's code
+  // generation: the caller stamps the value and compares it on every hit. A store
+  // overlapping a marked granule bumps the generation and clears the page's granules
+  // (the harts' caches re-mark as they refill). Returns nullptr outside RAM.
+  const uint64_t* MarkCode(uint64_t paddr);
   // Marks the page containing `paddr` as holding page-table entries a cached
   // translation read. Stores into PT-marked pages bump pt_generation() and clear all
   // PT marks. Returns false if the page is not RAM-backed (and therefore cannot be
   // tracked): the caller must not cache a translation whose PTEs it cannot watch.
   bool MarkPtPage(uint64_t paddr);
+  // Invalidating stores, per class: code_generation() counts stores (and WriteBytes
+  // calls) that overlapped a marked code granule, pt_generation() those that hit a
+  // PT-marked page. Only pt_generation() is a stamp input; code validity is
+  // per page (CodePage::generation).
   uint64_t code_generation() const { return code_generation_; }
   uint64_t pt_generation() const { return pt_generation_; }
   // Bumped whenever the set of RAM regions changes (AddRam). Folded into the harts'
@@ -194,13 +222,15 @@ class Bus {
   uint64_t ram_generation() const { return ram_generation_; }
 
   // Host-pointer view of one whole 4 KiB RAM frame (the harts' in-block memory fast
-  // path, DESIGN.md §2f). On success, *data points at the frame's bytes and *marks at
-  // its dependency-mark byte (a fast store must take the slow path while the mark
-  // byte is non-zero, so generation bumps happen exactly as a bus write would).
-  // Fails when the frame is not fully contained in one page-aligned RAM region.
-  // Returned pointers stay valid for the life of the Bus — regions never move or
-  // shrink — and ram_generation() guards consumers against future region changes.
-  bool HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks) const;
+  // path, DESIGN.md §2f). On success, *data points at the frame's bytes, *marks at
+  // its mark byte and *code at its code granules: a fast store must take the slow
+  // path when it hits a PT-marked page or a marked granule, so invalidations happen
+  // exactly as a bus write would cause them. Fails when the frame is not fully
+  // contained in one page-aligned RAM region. Returned pointers stay valid for the
+  // life of the Bus — regions never move or shrink — and ram_generation() guards
+  // consumers against future region changes.
+  bool HostPage(uint64_t paddr, uint8_t** data, const uint8_t** marks,
+                const CodePage** code) const;
 
   // Counts every access dispatched to an MMIO window (reads and writes, including
   // rejected ones). The batched run loop uses this to detect device interaction,
@@ -230,9 +260,10 @@ class Bus {
   // Freezes every RAM region into CoW images, appended to *images in region order.
   void FreezeRam(std::vector<std::shared_ptr<RamImage>>* images);
   // Rebinds every RAM region to the matching image (region order; count and sizes
-  // must match the bus's regions). Clears all dependency-page marks: the caller is
-  // restoring into a machine whose translation caches are being reset wholesale, so
-  // marks rebuild from scratch as caches refill.
+  // must match the bus's regions). Clears all dependency marks and code granules
+  // (code generations keep counting): the caller is restoring into a machine whose
+  // translation caches are being reset wholesale, so marks rebuild as caches
+  // refill.
   void AdoptRam(const std::vector<std::shared_ptr<RamImage>>& images);
   // Marks all RAM regions possibly-modified (host-pointer stores bypass Bus::Write,
   // so run loops call this conservatively on entry).
@@ -249,9 +280,14 @@ class Bus {
   const Ram* FindRam(uint64_t addr, uint64_t size) const;
   bool ReadSlow(uint64_t addr, unsigned size, uint64_t* value);
   bool WriteSlow(uint64_t addr, unsigned size, uint64_t value);
-  // Bumps the generation counter of every mark class present in `marks` and clears
-  // that class's bit from every page (other classes' marks are preserved).
-  void InvalidateMarkedPages(uint8_t marks);
+  // Called before a store of `size` bytes at `offset` into `region` overwrites them,
+  // when a page it touches carries a mark: invalidates each touched page whose marked
+  // code granules the store overlaps (page-local, O(pages touched)), and the PT
+  // class if it touches a PT-marked page.
+  void InvalidateOverlap(Ram* region, uint64_t offset, uint64_t size);
+  // Clears the mark `classes` (plus the code granules, for kExecMark) from every page
+  // of every region. Code generations keep counting.
+  void ClearMarks(uint8_t classes);
 
   std::vector<std::unique_ptr<Ram>> ram_;
   std::vector<MmioWindow> mmio_;
@@ -267,9 +303,10 @@ class Bus {
   uint64_t code_generation_ = 0;
   uint64_t pt_generation_ = 0;
   uint64_t ram_generation_ = 0;
-  // Set by MarkExecPage/MarkPtPage, which hart segments call concurrently while
-  // filling their caches (the mark bytes themselves are set with relaxed atomic OR);
-  // consumed only at serial points.
+  // Set by MarkCode/MarkPtPage, which hart segments call concurrently while filling
+  // their caches; read and cleared only at serial points. Lets ClearMarks and
+  // WriteBytes (image loading) skip their page walks on a machine that never marked
+  // a page (every fork child; every machine before it first executes).
   std::atomic<bool> any_marks_{false};
   uint64_t mmio_ops_ = 0;
   const bool* mmio_gate_ = nullptr;

@@ -71,28 +71,52 @@ Hart::Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* 
 
 void Hart::EnsureCaches() {
   caches_ready_ = true;
+  const uint64_t sb_entries = pending_sb_entries_;
+  if (sb_entries != 0) {
+    // Room for every slot to hold a long block, and never fewer than four maximal
+    // blocks. Slots reuse their storage across rebuilds, so the pools fill only as
+    // slots outgrow it.
+    op_pool_size_ = std::max<uint64_t>(sb_entries * 16, 4 * (kMaxSuperblockLen + 1));
+    mem_pool_size_ = std::max<uint64_t>(sb_entries * 8, 4 * kMaxSuperblockLen);
+  }
+  // Every cache array lives in one zero-filled mapping: one mmap whatever the sizes,
+  // and the hart commits host memory only for the slots its guest touches.
+  ZeroedLayout layout;
+  const size_t icache_at = layout.Add<FetchEntry>(pending_icache_entries_);
+  size_t tlb_at[3];
+  for (size_t& at : tlb_at) {
+    at = layout.Add<TlbEntry>(pending_tlb_entries_);
+  }
+  const size_t sblocks_at = layout.Add<SuperblockEntry>(sb_entries);
+  const size_t op_pool_at = layout.Add<ThreadedOp>(op_pool_size_);
+  const size_t mem_pool_at = layout.Add<MemInstr>(mem_pool_size_);
+  const size_t build_ops_at = layout.Add<ThreadedOp>(sb_entries != 0 ? kMaxSuperblockLen + 1 : 0);
+  const size_t build_mem_at = layout.Add<MemInstr>(sb_entries != 0 ? kMaxSuperblockLen : 0);
+  cache_memory_ = ZeroedMemory(layout.size());
+  // A mask of 0 doubles as each cache's "disabled" flag.
   if (pending_icache_entries_ != 0) {
-    icache_.resize(pending_icache_entries_);
+    icache_ = cache_memory_.At<FetchEntry>(icache_at);
     icache_mask_ = pending_icache_entries_ - 1;
-    pending_icache_entries_ = 0;
   }
   if (pending_tlb_entries_ != 0) {
-    for (auto& array : tlb_) {
-      array.resize(pending_tlb_entries_);
+    for (unsigned i = 0; i < 3; ++i) {
+      tlb_[i] = cache_memory_.At<TlbEntry>(tlb_at[i]);
     }
     tlb_mask_ = pending_tlb_entries_ - 1;
-    pending_tlb_entries_ = 0;
   }
-  if (pending_sb_entries_ != 0) {
-    sblocks_.resize(pending_sb_entries_);
-    sb_mask_ = pending_sb_entries_ - 1;
-    pending_sb_entries_ = 0;
+  if (sb_entries != 0) {
+    sblocks_ = cache_memory_.At<SuperblockEntry>(sblocks_at);
+    sb_mask_ = sb_entries - 1;
+    op_pool_ = cache_memory_.At<ThreadedOp>(op_pool_at);
+    mem_pool_ = cache_memory_.At<MemInstr>(mem_pool_at);
+    build_ops_ = cache_memory_.At<ThreadedOp>(build_ops_at);
+    build_mem_ = cache_memory_.At<MemInstr>(build_mem_at);
     ExecuteThreaded(nullptr, 0, 0, &handlers_);
   }
 }
 
 uint64_t Hart::cache_stamp() const {
-  return bus_->code_generation() + csrs_.pmp().generation() + fence_gen_;
+  return bus_->pt_generation() + csrs_.pmp().generation() + fence_gen_;
 }
 
 uint64_t Hart::tlb_stamp() const {
@@ -125,7 +149,7 @@ void Hart::FlushTlbPage(uint64_t vaddr) {
     return;
   }
   const uint64_t vpage = vaddr >> 12;
-  for (auto& array : tlb_) {
+  for (TlbEntry* array : tlb_) {
     TlbEntry& entry = array[vpage & tlb_mask_];
     if (entry.vpage == vpage) {
       entry.vpage = ~uint64_t{0};
@@ -244,12 +268,15 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
       // so a superblock access through host_page needs no per-access PMP or routing.
       slot->host_page = nullptr;
       slot->page_mark = nullptr;
+      slot->code_page = nullptr;
       if (slot->pmp_whole_page) {
         uint8_t* data = nullptr;
         const uint8_t* marks = nullptr;
-        if (bus_->HostPage(slot->paddr_page, &data, &marks)) {
+        const CodePage* code = nullptr;
+        if (bus_->HostPage(slot->paddr_page, &data, &marks, &code)) {
           slot->host_page = data;
           slot->page_mark = marks;
+          slot->code_page = code;
         }
       }
       slot->stamp = tlb_stamp();
@@ -560,16 +587,17 @@ StepResult Hart::Tick() {
   }
 
   // Decoded-instruction cache lookup. A hit replays a previous fetch of this pc: the
-  // stamp proves no store touched the instruction bytes or the page tables that
-  // translated them (and no PMP write or fence.i happened), and the satp/priv/virt
-  // compare proves the translation context is the one the entry was filled under.
-  // Fetch translation depends on nothing else: mstatus.SUM/MXR only affect data
-  // accesses, and MPRV never applies to fetches.
+  // page's code generation proves no store touched the instruction bytes, the stamp
+  // that none touched the page tables that translated them (and no PMP write or
+  // fence.i happened), and the satp/priv/virt compare proves the translation context
+  // is the one the entry was filled under. Fetch translation depends on nothing
+  // else: mstatus.SUM/MXR only affect data accesses, and MPRV never applies to
+  // fetches.
   if (icache_mask_ != 0) {
     const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-    FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
-    if (entry.tag == pc_ && entry.stamp == cache_stamp() && entry.satp == effective_satp &&
-        entry.priv == static_cast<uint8_t>(priv_) && entry.virt == virt_) {
+    const FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+    if (FetchHit(entry, pc_, cache_stamp(), effective_satp, static_cast<uint8_t>(priv_),
+                 virt_)) {
       ++icache_hits_;
       StepResult result = Execute(entry.instr);
       if (result.aborted) {
@@ -601,25 +629,31 @@ StepResult Hart::Tick() {
 
   const DecodedInstr instr = Decode(static_cast<uint32_t>(word));
 
-  // Fill the cache and mark every page this decode depends on: the instruction bytes
-  // (4-byte-aligned, so one page) and the PTEs the walk read. The stamp is taken
-  // AFTER the translate — the walk's A/D update may itself have stored into a marked
-  // page and bumped the code generation. Only RAM-backed fetches are cached; an
-  // instruction fetched from a device has no stable bytes to validate.
+  // Fill the cache and mark everything this decode depends on: the instruction's
+  // granule (4-byte-aligned, so one granule of one page) and, as page-table pages,
+  // the PTEs the walk read. The stamps are taken AFTER the translate — the walk's
+  // A/D update may itself have stored into a marked page and bumped a generation.
+  // Only RAM-backed fetches whose PTEs are all in RAM are cached: an instruction
+  // fetched from a device has no stable bytes to validate, and a PTE outside RAM
+  // cannot be watched.
   if (icache_mask_ != 0 && bus_->IsRam(fetch.paddr, 4)) {
     ++icache_misses_;
-    bus_->MarkExecPage(fetch.paddr);
+    bool trackable = true;
     for (unsigned i = 0; i < fetch.pte_count; ++i) {
-      bus_->MarkExecPage(fetch.pte_addrs[i]);
+      trackable &= bus_->MarkPtPage(fetch.pte_addrs[i]);
     }
-    FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
-    entry.tag = pc_;
-    entry.stamp = cache_stamp();
-    entry.satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-    entry.extra_cycles = fetch.extra_cycles;
-    entry.instr = instr;
-    entry.priv = static_cast<uint8_t>(priv_);
-    entry.virt = virt_;
+    if (trackable) {
+      FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+      entry.code_gen = bus_->MarkCode(fetch.paddr);
+      entry.code_gen_at_fill = *entry.code_gen;
+      entry.tag = pc_;
+      entry.stamp = cache_stamp();
+      entry.satp = virt_ ? csrs_.vsatp() : csrs_.satp();
+      entry.extra_cycles = fetch.extra_cycles;
+      entry.instr = instr;
+      entry.priv = static_cast<uint8_t>(priv_);
+      entry.virt = virt_;
+    }
   }
 
   StepResult result = Execute(instr);
@@ -650,16 +684,17 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
     if (sb_mask_ != 0 && !waiting_ && IsAligned(pc_, 4) && !PendingInterrupt()) {
       SuperblockEntry& sb = sblocks_[(pc_ >> 2) & sb_mask_];
       const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
+      // The code-generation load comes last: only a built slot (stamp != 0) has one.
       bool valid = sb.tag == pc_ && sb.stamp == cache_stamp() && sb.satp == effective_satp &&
-                   sb.priv == static_cast<uint8_t>(priv_) && sb.virt == virt_;
+                   sb.priv == static_cast<uint8_t>(priv_) && sb.virt == virt_ &&
+                   *sb.code_gen == sb.code_gen_at_fill;
       if (valid && sb.open_end) {
         // The block was cut short by a cold decode-cache slot. If the continuation
         // has since been decoded, rebuild to extend. A rebuild can only commit a
         // non-empty block, so the entry stays valid either way.
         const uint64_t cont_pc = sb.tag + uint64_t{4} * sb.count;
-        const FetchEntry& cont = icache_[(cont_pc >> 2) & icache_mask_];
-        if (cont.tag == cont_pc && cont.stamp == sb.stamp && cont.satp == sb.satp &&
-            cont.priv == sb.priv && cont.virt == sb.virt) {
+        if (FetchHit(icache_[(cont_pc >> 2) & icache_mask_], cont_pc, sb.stamp, sb.satp,
+                     sb.priv, sb.virt)) {
           FillSuperblock(&sb);
         }
       }
@@ -711,11 +746,11 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   // member must pass the full FetchEntry hit condition under one stamp — that single
   // check at build time, plus the stamp compare at dispatch, is what proves the whole
   // block is still exactly what per-instruction fetch would execute.
+  // Members all lie in the first member's page (a block stops at a page boundary) and
+  // share its context, so they share its code generation: the block stamps that one.
   const auto member = [&](uint64_t pc) -> const FetchEntry* {
     const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
-    const bool hit = entry.tag == pc && entry.stamp == stamp && entry.satp == effective_satp &&
-                     entry.priv == priv && entry.virt == virt_;
-    return hit ? &entry : nullptr;
+    return FetchHit(entry, pc, stamp, effective_satp, priv, virt_) ? &entry : nullptr;
   };
   // A failed (re)build must not damage the existing entry, so the first member is
   // vetted before anything is written.
@@ -723,8 +758,16 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   if (entry == nullptr || SuperblockClass(entry->instr.op) == SbClass::kBarrier) {
     return false;
   }
-  sb->ops.clear();
-  sb->mem_instrs.clear();
+  // Lower into the build buffers; the finished block then moves into its slot's
+  // pool storage.
+  ThreadedOp* storage_ops = sb->ops;
+  MemInstr* storage_mem = sb->mem_instrs;
+  sb->code_gen = entry->code_gen;
+  sb->code_gen_at_fill = entry->code_gen_at_fill;
+  sb->ops = build_ops_;
+  sb->mem_instrs = build_mem_;
+  sb->op_count = 0;
+  sb->mem_count = 0;
   sb->has_mem = false;
   uint64_t pc = pc_;
   unsigned count = 0;
@@ -759,8 +802,24 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
     end.count = 0;
     end.next_pc = pc;
     end.Bind(handlers_);
-    sb->ops.push_back(end);
+    sb->ops[sb->op_count++] = end;
   }
+  if (sb->op_count > sb->op_capacity || sb->mem_count > sb->mem_capacity) {
+    // A first build, or the slot outgrew its storage: take exactly this much more.
+    if (op_top_ + sb->op_count > op_pool_size_ || mem_top_ + sb->mem_count > mem_pool_size_) {
+      FlushSuperblocks();
+    }
+    storage_ops = op_pool_ + op_top_;
+    storage_mem = mem_pool_ + mem_top_;
+    op_top_ += sb->op_count;
+    mem_top_ += sb->mem_count;
+    sb->op_capacity = sb->op_count;
+    sb->mem_capacity = sb->mem_count;
+  }
+  std::copy_n(build_ops_, sb->op_count, storage_ops);
+  std::copy_n(build_mem_, sb->mem_count, storage_mem);
+  sb->ops = storage_ops;
+  sb->mem_instrs = storage_mem;
   sb->tag = pc_;
   sb->stamp = stamp;
   sb->satp = effective_satp;
@@ -770,11 +829,24 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   sb->virt = virt_;
   sb->total_count = count;
   sb->total_cycles = 0;
-  for (const ThreadedOp& op : sb->ops) {
-    sb->total_cycles += op.cycles;
+  for (unsigned i = 0; i < sb->op_count; ++i) {
+    sb->total_cycles += sb->ops[i].cycles;
   }
   ++threaded_promotions_;
   return true;
+}
+
+void Hart::FlushSuperblocks() {
+  for (uint64_t i = 0; i <= sb_mask_; ++i) {
+    SuperblockEntry& sb = sblocks_[i];
+    if (sb.op_capacity != 0) {  // every built slot holds storage
+      sb.stamp = 0;
+      sb.op_capacity = 0;
+      sb.mem_capacity = 0;
+    }
+  }
+  op_top_ = 0;
+  mem_top_ = 0;
 }
 
 void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
@@ -815,14 +887,14 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
     }
     if (d.rd == 0) {
       kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
-    } else if (!sb->ops.empty()) {
+    } else if (sb->op_count != 0) {
       // Constant folding: a li/auipc (kConst) followed by ALU-immediate ops that
       // read and write the same register collapses into one kConstChain carrying
       // the final value. Intermediate values are unobservable inside the chain
       // (members are consecutive and each reads only the chain register), and a
       // batch boundary inside a chain deopts to per-member execution, so folding
       // is architecturally invisible.
-      ThreadedOp& prev = sb->ops.back();
+      ThreadedOp& prev = sb->ops[sb->op_count - 1];
       const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
       if ((pk == LoweredOp::kConst || pk == LoweredOp::kConstChain) && prev.a == d.rd &&
           d.rs1 == d.rd) {
@@ -899,8 +971,8 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
         // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
         // immediately following beqz/bnez fuses into one op (the compare rd is
         // still written — it stays architecturally visible).
-        if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && !sb->ops.empty()) {
-          ThreadedOp& prev = sb->ops.back();
+        if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && sb->op_count != 0) {
+          ThreadedOp& prev = sb->ops[sb->op_count - 1];
           const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
           const bool on_zero = d.op == Op::kBeq;
           LoweredOp fused = LoweredOp::kEnd;
@@ -938,13 +1010,13 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
     }
   } else {  // SbClass::kMem
     op.cycles += static_cast<uint32_t>(cost_->instr_mem);
-    op.mem = static_cast<uint16_t>(sb->mem_instrs.size());
-    sb->mem_instrs.push_back({d, entry.extra_cycles});
+    op.mem = sb->mem_count;
+    sb->mem_instrs[sb->mem_count++] = {d, entry.extra_cycles};
     sb->has_mem = true;
   }
   op.kind = static_cast<uint8_t>(kind);
   op.Bind(handlers_);
-  sb->ops.push_back(op);
+  sb->ops[sb->op_count++] = op;
 }
 
 void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
@@ -1011,10 +1083,10 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
   ++sb_blocks_;
   const uint64_t mmio_start = bus_->mmio_ops();
   FastMemCtx fm;
-  TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)].data();
-  TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)].data();
+  TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)];
+  TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)];
   uint64_t* const g = gpr_;
-  const ThreadedOp* op = sb->ops.data();
+  const ThreadedOp* op = sb->ops;
   // Architectural counters and the pc live in locals while inside the block; they
   // are spilled to csrs_/pc_ only at exits and around slow-path memory ops, and
   // `climit` folds the stop_cycles compare into the local cycle delta, so batch
@@ -1035,8 +1107,8 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
   // overshoots steps_left.
   uint64_t climit = stop_cycles > cycles_base ? stop_cycles - cycles_base : 0;
   climit = climit < steps_left ? climit : steps_left;
-  // tlb_stamp() is stable across fast-path ops (fast stores never touch marked
-  // pages, so no generation it folds can bump); resampled after every slow-path op.
+  // tlb_stamp() is stable across fast-path ops (fast stores never touch tracked
+  // bytes, so no generation it folds can bump); resampled after every slow-path op.
   uint64_t tstamp = sb->has_mem ? tlb_stamp() : 0;
 
 #if VFM_THREADED_GOTO
@@ -1070,7 +1142,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
       goto exit_spill;       \
     }                        \
     if (pc == sb->tag) {     \
-      op = sb->ops.data();   \
+      op = sb->ops;          \
       VFM_TGO();             \
     }                        \
     goto exit_spill;         \
@@ -1087,12 +1159,13 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
 // add, the TLB probe, and the host memcpy. The probe is the full TLB hit condition,
 // re-checked per access against a stamp resampled after every slow-path op.
 // host_page != nullptr implies pmp_whole_page, and an aligned power-of-two access
-// never leaves the frame, so no per-access PMP scan is needed. A store must also
-// see a clean mark byte: writes to exec-/PT-marked pages go through Bus::Write so
-// the dependency generations bump exactly as per-instruction execution would, and
+// never leaves the frame, so no per-access PMP scan is needed. A store into a
+// marked page goes through Bus::Write when the page is PT-marked or the store's
+// granule holds cached code (an aligned store never spans granules), so
+// invalidations happen exactly as per-instruction execution would cause them, and
 // segment mode sends every store there too, to be buffered (DESIGN.md §2i). Any
-// miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM frame, marked
-// page — takes the shared interpreter slow path below.
+// miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM frame, store
+// into tracked bytes — takes the shared interpreter slow path below.
 #define VFM_TLOAD(size_, extract_)                                            \
   do {                                                                        \
     if (!fm.built) {                                                          \
@@ -1131,15 +1204,15 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
       goto slow_mem;                                                          \
     }                                                                         \
     TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                          \
-    if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
+    const uint64_t offset = va & MaskLow(12);                                 \
+    if (segment_active_ || slot.vpage != va >> 12 || slot.satp != fm.satp ||  \
         slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                   \
-        slot.host_page == nullptr || *slot.page_mark != 0 ||                  \
-        segment_active_) {                                                    \
+        slot.host_page == nullptr ||                                          \
+        (*slot.page_mark != 0 && StoreNeedsBus(slot, offset))) {              \
       goto slow_mem;                                                          \
     }                                                                         \
     ++tlb_hits_;                                                              \
     ++fastmem_hits_;                                                          \
-    const uint64_t offset = va & MaskLow(12);                                 \
     std::memcpy(slot.host_page + offset, &g[op->c], size_);                   \
     if (reservation_) {                                                       \
       const uint64_t paddr = slot.paddr_page | offset;                        \
@@ -1209,7 +1282,7 @@ dispatch:
       goto exit_spill;                           \
     }                                            \
     if (pc == sb->tag) {                         \
-      op = sb->ops.data();                       \
+      op = sb->ops;                              \
       if (cycles + sb->total_cycles <= climit) { \
         goto* op->uhandler;                      \
       }                                          \
@@ -1262,7 +1335,7 @@ slow_mem: {
   cycles_base = csrs_.mcycle();
   tstamp = tlb_stamp();  // a slow-path store may have bumped a folded generation
   const bool mmio = bus_->mmio_ops() != mmio_start;
-  const bool stale = cache_stamp() != sb->stamp;
+  const bool stale = cache_stamp() != sb->stamp || *sb->code_gen != sb->code_gen_at_fill;
   if (mmio || stale || dispatched >= steps_left || cycles_base >= stop_cycles) {
     if (stale) {
       ++threaded_deopts_;  // the store invalidated code this block may contain

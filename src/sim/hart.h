@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/zeroed_memory.h"
 #include "src/isa/instr.h"
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
@@ -214,17 +215,21 @@ class Hart {
 
   // One slot of the decoded-instruction cache: a pre-decoded instruction plus
   // everything needed to prove the original fetch is still valid. An entry hits only
-  // when the tag (virtual pc), translation context (satp/priv/virt), and generation
-  // stamp all match; `extra_cycles` replays the page-walk cost of the original fetch
-  // so cached execution charges exactly the cycles the slow path would.
+  // when the tag (virtual pc), translation context (satp/priv/virt), generation
+  // stamp, and its page's code generation all match (FetchHit); `extra_cycles`
+  // replays the page-walk cost of the original fetch so cached execution charges
+  // exactly the cycles the slow path would. Slots live in a zero-filled mapping and
+  // are never constructed: an all-zero slot is empty, because cache_stamp() >= 1.
   struct FetchEntry {
-    uint64_t tag = ~uint64_t{0};  // virtual pc; ~0 is never a valid (aligned) pc
-    uint64_t stamp = 0;           // cache_stamp() at fill time
-    uint64_t satp = 0;            // effective satp (vsatp when virtualized) at fill
-    uint64_t extra_cycles = 0;    // page-walk cycles of the original fetch
+    uint64_t tag;                // virtual pc
+    uint64_t stamp;              // cache_stamp() at fill time
+    uint64_t satp;               // effective satp (vsatp when virtualized) at fill
+    uint64_t extra_cycles;       // page-walk cycles of the original fetch
+    const uint64_t* code_gen;    // the instruction page's code generation (Bus::MarkCode)
+    uint64_t code_gen_at_fill;   // *code_gen when filled
     DecodedInstr instr;
-    uint8_t priv = 0;
-    bool virt = false;
+    uint8_t priv;
+    bool virt;
   };
 
   // One slot of the software TLB: a cached page translation plus everything needed to
@@ -234,30 +239,42 @@ class Hart {
   // the walk has already set the PTE's A bit (and D for stores) — a hit never needs
   // to write memory, and a store through a page cached only in the load array
   // re-walks and performs the D-bit update. `extra_cycles` replays the walk cost so
-  // hits charge exactly the cycles the walk would.
+  // hits charge exactly the cycles the walk would. Like FetchEntry, slots start
+  // all-zero and unconstructed; a zero slot is empty because tlb_stamp() >= 1.
   struct TlbEntry {
-    uint64_t vpage = ~uint64_t{0};  // vaddr >> 12; ~0 is never a valid Sv39 page
-    uint64_t paddr_page = 0;        // translated page base (low 12 bits clear)
-    uint64_t satp = 0;              // satp value the walk used (part of the key)
-    uint64_t stamp = 0;             // tlb_stamp() at fill time
-    uint64_t extra_cycles = 0;      // page-walk cycles of the original walk
-    uint64_t pte_addrs[3] = {};     // PTE addresses the walk read (replayed to callers)
-    uint8_t pte_count = 0;
-    uint8_t ctx = 0;                // TlbCtx() at fill time (priv/SUM/MXR)
+    uint64_t vpage;          // vaddr >> 12
+    uint64_t paddr_page;     // translated page base (low 12 bits clear)
+    uint64_t satp;           // satp value the walk used (part of the key)
+    uint64_t stamp;          // tlb_stamp() at fill time
+    uint64_t extra_cycles;   // page-walk cycles of the original walk
+    uint64_t pte_addrs[3];   // PTE addresses the walk read (replayed to callers)
+    uint8_t pte_count;
+    uint8_t ctx;             // TlbCtx() at fill time (priv/SUM/MXR)
     // True when the fill-time PMP check proved the whole 4 KiB frame is permitted
     // for this access type and privilege (one entry contains the frame). Hits may
     // then skip the per-access PMP scan: any access inside the frame matches the
     // same entry with the same verdict, and the stamp folds in the bank's
     // generation, so any PMP write invalidates the entry before it can lie.
-    bool pmp_whole_page = false;
+    bool pmp_whole_page;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
     // and block memory ops may access `host_page` directly, provided
-    // pmp_whole_page holds and `*page_mark` is zero (a marked page must go through
-    // Bus::Write so dependency generations bump). Only set when pmp_whole_page; the
-    // stamp folds in Bus::ram_generation() so pointers never outlive a RAM remap.
-    uint8_t* host_page = nullptr;
-    const uint8_t* page_mark = nullptr;
+    // pmp_whole_page holds. A store must go through Bus::Write when `*page_mark` is
+    // non-zero and the page is PT-marked or the store's granule is marked in
+    // `*code_page`, so invalidations happen exactly as a bus write would cause them.
+    // Only set when pmp_whole_page; the stamp folds in Bus::ram_generation() so
+    // pointers never outlive a RAM remap.
+    uint8_t* host_page;
+    const uint8_t* page_mark;
+    const CodePage* code_page;
   };
+
+  // Whether an aligned fast-path store at frame `offset` through `slot`, whose page's
+  // mark byte is non-zero, must go through Bus::Write: the page holds PTEs a cached
+  // translation read, or the store's granule holds code a cached entry decoded.
+  static bool StoreNeedsBus(const TlbEntry& slot, uint64_t offset) {
+    return (*slot.page_mark & Bus::kPtMark) != 0 ||
+           ((slot.code_page->granules >> (offset >> Bus::kGranuleShift)) & 1) != 0;
+  }
 
   static constexpr unsigned kMaxSuperblockLen = 64;
 
@@ -302,29 +319,38 @@ class Hart {
   // under one validity stamp and lowered into threaded ops as it is built. The
   // key/stamp discipline is exactly FetchEntry's — the block is valid iff every
   // member FetchEntry would still hit — which holds because all members were verified
-  // valid at build time under the same (stamp, satp, priv, virt) and any event that
-  // could invalidate one bumps a counter folded into cache_stamp(). Ends at the first
-  // kBarrier op (excluded), at a kBranch (included: the terminal op), at a 4 KiB page
-  // boundary (the next pc may translate differently), or at kMaxSuperblockLen.
-  // `open_end` marks a block cut short by a cold decode-cache slot; a later dispatch
-  // retries the build to extend it once the continuation has been decoded.
+  // valid at build time under the same (stamp, satp, priv, virt, code generation) and
+  // any event that could invalidate one bumps a counter folded into cache_stamp() or
+  // the page's code generation. A block never crosses a page, so that one generation
+  // covers every member. Ends at the first kBarrier op (excluded), at a kBranch
+  // (included: the terminal op), at a 4 KiB page boundary (the next pc may translate
+  // differently), or at kMaxSuperblockLen. `open_end` marks a block cut short by a
+  // cold decode-cache slot; a later dispatch retries the build to extend it once the
+  // continuation has been decoded. Slots start all-zero and unconstructed (stamp 0:
+  // empty); the ops and mem instrs live in the hart's pools.
   struct SuperblockEntry {
-    uint64_t tag = ~uint64_t{0};  // starting virtual pc
-    uint64_t stamp = 0;           // cache_stamp() at build time
-    uint64_t satp = 0;            // effective satp at build time
-    uint16_t count = 0;           // source instructions
-    bool open_end = false;
-    uint8_t priv = 0;
-    bool virt = false;
-    bool has_mem = false;  // skip the tlb_stamp() sample for pure-ALU blocks
+    uint64_t tag;               // starting virtual pc
+    uint64_t stamp;             // cache_stamp() at build time
+    uint64_t satp;              // effective satp at build time
+    const uint64_t* code_gen;   // the block's page's code generation
+    uint64_t code_gen_at_fill;  // *code_gen when built
+    ThreadedOp* ops;            // op_count ops in op_pool_
+    MemInstr* mem_instrs;       // mem_count entries in mem_pool_
     // Whole-run charges, for the unchecked dispatch mode: a pure-ALU block whose
     // entire run fits the remaining budget executes with no per-op accounting at
     // all — the totals are added once at the terminal op. Blocks with memory ops
     // always run checked (their TLB-replayed walk cycles vary per dispatch).
-    uint32_t total_count = 0;
-    uint64_t total_cycles = 0;
-    std::vector<ThreadedOp> ops;
-    std::vector<MemInstr> mem_instrs;
+    uint64_t total_cycles;
+    uint32_t total_count;
+    uint16_t count;  // source instructions
+    uint16_t op_count;
+    uint16_t mem_count;
+    uint16_t op_capacity;   // pool storage this slot owns, reused by rebuilds
+    uint16_t mem_capacity;
+    bool open_end;
+    uint8_t priv;
+    bool virt;
+    bool has_mem;  // skip the tlb_stamp() sample for pure-ALU blocks
   };
 
   // Data-access translation context captured once per block dispatch. Valid for the
@@ -348,10 +374,22 @@ class Hart {
     StepResult last;  // result of the final tick, RunBatch-compatible
   };
 
-  // Sum of the three monotonic invalidation counters: stores into exec-marked pages
-  // (bus), physical PMP reconfiguration, and local fence.i. Each counter only grows,
-  // so the sum only grows and a single equality compare validates all three.
+  // Sum of the three global monotonic invalidation counters of decoded code: stores
+  // into PT-marked pages (bus; a fetch walk's PTE pages are PT-marked), physical PMP
+  // reconfiguration, and local fence.i. Each counter only grows, so the sum only
+  // grows and a single equality compare validates all three. Stores into the code
+  // itself are page-local: entries also compare their page's code generation.
   uint64_t cache_stamp() const;
+
+  // The full decode-cache hit condition for `entry` at `pc` under the given stamp and
+  // translation context. The code-generation load comes last: it is only reached
+  // once the stamp has proven the slot filled (an untouched slot has stamp 0).
+  static bool FetchHit(const FetchEntry& entry, uint64_t pc, uint64_t stamp, uint64_t satp,
+                       uint8_t priv, bool virt) {
+    return entry.tag == pc && entry.stamp == stamp && entry.satp == satp &&
+           entry.priv == priv && entry.virt == virt &&
+           *entry.code_gen == entry.code_gen_at_fill;
+  }
 
   // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), physical PMP
   // reconfiguration (a walk's per-PTE PMP checks depend on the bank), explicit full
@@ -393,6 +431,9 @@ class Hart {
   // untouched, if not even one instruction could be captured (cold or stale
   // decode-cache slot at pc_, or a barrier op there).
   bool FillSuperblock(SuperblockEntry* sb);
+  // Drops every block and empties the pools (FillSuperblock calls this when a slot
+  // needs fresh storage that no longer fits). Reads every slot, writes built ones.
+  void FlushSuperblocks();
   // Appends the lowering of one member at `pc` to `sb` (DESIGN.md §2f): 1:1 handler
   // mapping plus constant folding of li/auipc + ALU-immediate chains, compare+branch
   // fusion, and cycle-charge pre-summing. Pure translation — no architectural effects.
@@ -454,29 +495,47 @@ class Hart {
   std::optional<uint64_t> reservation_;
   uint64_t traps_taken_ = 0;
 
-  // Decoded-instruction cache (direct-mapped, indexed by pc >> 2). Empty when the
+  // The translation caches below are arrays in cache_memory_, one zero-filled
+  // mapping made by EnsureCaches: a hart commits host memory only for the slots its
+  // guest touches.
+  ZeroedMemory cache_memory_;
+
+  // Decoded-instruction cache (direct-mapped, indexed by pc >> 2). Null when the
   // cache is disabled; icache_mask_ == 0 doubles as the "disabled" flag.
-  std::vector<FetchEntry> icache_;
+  FetchEntry* icache_ = nullptr;
   uint64_t icache_mask_ = 0;
-  uint64_t fence_gen_ = 0;  // bumped by fence.i
+  uint64_t fence_gen_ = 1;  // bumped by fence.i; starts at 1 so cache_stamp() >= 1
   uint64_t icache_hits_ = 0;
   uint64_t icache_misses_ = 0;
 
   // Software TLB: one direct-mapped array per access type (fetch/load/store), indexed
   // by virtual page number. Separate arrays keep the A/D fill invariant local to each
-  // access type. Empty when disabled; tlb_mask_ == 0 doubles as the "disabled" flag.
-  std::vector<TlbEntry> tlb_[3];
+  // access type. Null when disabled; tlb_mask_ == 0 doubles as the "disabled" flag.
+  TlbEntry* tlb_[3] = {};
   uint64_t tlb_mask_ = 0;
-  uint64_t tlb_gen_ = 0;  // bumped by FlushTlb
+  uint64_t tlb_gen_ = 1;  // bumped by FlushTlb; starts at 1 so tlb_stamp() >= 1
   uint64_t tlb_hits_ = 0;
   uint64_t tlb_misses_ = 0;
   uint64_t tlb_flushes_ = 0;
 
-  // Block cache (direct-mapped, indexed by start pc >> 2). Empty when disabled;
+  // Block cache (direct-mapped, indexed by start pc >> 2). Null when disabled;
   // sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode cache: blocks
   // are built from, and validated against, its entries.
-  std::vector<SuperblockEntry> sblocks_;
+  SuperblockEntry* sblocks_ = nullptr;
   uint64_t sb_mask_ = 0;
+  // Block storage: each slot's lowered ops and mem instrs are bump-allocated here
+  // on its first build and reused by rebuilds that fit; a slot that outgrows its
+  // storage abandons it for a fresh run. When the pools run out, FlushSuperblocks
+  // drops every block and rewinds both. Blocks are lowered into the build buffers
+  // first, since their length is only known at the end.
+  ThreadedOp* op_pool_ = nullptr;
+  MemInstr* mem_pool_ = nullptr;
+  size_t op_pool_size_ = 0;
+  size_t mem_pool_size_ = 0;
+  size_t op_top_ = 0;
+  size_t mem_top_ = 0;
+  ThreadedOp* build_ops_ = nullptr;  // kMaxSuperblockLen + 1 ops
+  MemInstr* build_mem_ = nullptr;    // kMaxSuperblockLen mem instrs
   uint64_t sb_hits_ = 0;
   uint64_t sb_misses_ = 0;
   uint64_t sb_blocks_ = 0;
@@ -488,8 +547,9 @@ class Hart {
   // ExecuteThreaded's handler table, fetched once when the block cache is allocated.
   const void* const* handlers_ = nullptr;
 
+
   // Deferred cache sizing (see EnsureCaches): entry counts computed at construction,
-  // applied on first execution. All zero once applied (or when disabled).
+  // applied on first execution (zero when disabled).
   uint64_t pending_icache_entries_ = 0;
   uint64_t pending_tlb_entries_ = 0;
   uint64_t pending_sb_entries_ = 0;

@@ -44,9 +44,9 @@ struct TranslateResult {
   // point where the accessor can serve it (DESIGN.md §2i).
   bool segment_abort = false;
   // Physical addresses of the PTEs read during the walk. The decoded-instruction
-  // cache exec-marks these pages so that a later store into a page table invalidates
-  // any decode whose fetch translation it produced, and the software TLB PT-marks
-  // them so the same store invalidates cached translations (src/sim/hart.cc).
+  // cache and the software TLB PT-mark these pages, so that a later store into a
+  // page table invalidates any decode whose fetch translation it produced and any
+  // cached translation (src/sim/hart.cc).
   uint64_t pte_addrs[3] = {};
   unsigned pte_count = 0;
 };

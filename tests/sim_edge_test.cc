@@ -246,7 +246,7 @@ constexpr uint64_t kRamBase = 0x8000'0000;
 // region (code and page tables are reachable through it) plus fine 4 KiB S-mode RW
 // leaves L0[3]: VA 0x3000 -> kRamBase+0x5000 and L0[4]: VA 0x4000 -> kRamBase+0x6000.
 // Tests pre-write instruction words with Put() and then Tick() through them, so no
-// store ever lands in an already-executed (exec-marked) page mid-test.
+// store ever lands on already-executed code mid-test.
 class PagedHarness {
  public:
   static constexpr uint64_t kRoot = kRamBase + 0x1000;

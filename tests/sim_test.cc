@@ -611,27 +611,29 @@ class SuperblockTest : public ::testing::Test {
   }
 
   // Three simple instructions followed by a WFI barrier: a three-instruction block.
-  void LoadStraightLine() {
-    machine_->bus().Write(kRam, 4, 0x00100293);       // addi t0, zero, 1
-    machine_->bus().Write(kRam + 4, 4, 0x00200313);   // addi t1, zero, 2
-    machine_->bus().Write(kRam + 8, 4, 0x00300393);   // addi t2, zero, 3
-    machine_->bus().Write(kRam + 12, 4, 0x10500073);  // wfi
+  void LoadStraightLine(uint64_t base = kRam) {
+    machine_->bus().Write(base, 4, 0x00100293);       // addi t0, zero, 1
+    machine_->bus().Write(base + 4, 4, 0x00200313);   // addi t1, zero, 2
+    machine_->bus().Write(base + 8, 4, 0x00300393);   // addi t2, zero, 3
+    machine_->bus().Write(base + 12, 4, 0x10500073);  // wfi
   }
 
   // One pass over the straight line via the batched entry point.
-  void RunPass() {
-    hart_->set_pc(kRam);
+  void RunPass(uint64_t base = kRam) {
+    hart_->set_pc(base);
     hart_->RunBatch(3, ~uint64_t{0});
   }
 
   // Pass 1 decodes per-instruction, pass 2 builds the block, pass 3 hits it.
-  void WarmBlock() {
-    LoadStraightLine();
-    RunPass();
-    RunPass();
-    RunPass();
-    ASSERT_EQ(hart_->superblock_hits(), 1u);
-    ASSERT_EQ(hart_->superblock_instrs(), 6u);
+  void WarmBlock(uint64_t base = kRam) {
+    const uint64_t hits = hart_->superblock_hits();
+    const uint64_t instrs = hart_->superblock_instrs();
+    LoadStraightLine(base);
+    RunPass(base);
+    RunPass(base);
+    RunPass(base);
+    ASSERT_EQ(hart_->superblock_hits(), hits + 1);
+    ASSERT_EQ(hart_->superblock_instrs(), instrs + 6);
   }
 
   std::unique_ptr<Machine> machine_;
@@ -641,7 +643,7 @@ class SuperblockTest : public ::testing::Test {
 TEST_F(SuperblockTest, FenceIInvalidatesSuperblock) {
   WarmBlock();
   // The fence.i word goes to a page nothing has executed from, so the write itself
-  // does not bump the code generation — only the fence.i execution does.
+  // invalidates nothing — only the fence.i execution does.
   machine_->bus().Write(kRam + 0x1000, 4, 0x0000100F);
   hart_->set_pc(kRam + 0x1000);
   hart_->Tick();
@@ -881,6 +883,174 @@ TEST(ThreadedMachineTest, SelfModifyingStoreInLoweredBlockDeopts) {
   EXPECT_GE(lowered_deopts, 1u);         // the store fired inside a lowered block
   EXPECT_EQ(off_deopts, 0u);
   EXPECT_EQ(lowered, off);
+}
+
+// -- Page-local code invalidation (DESIGN.md §2b). -----------------------------------
+// Stores invalidate cached code only when they overwrite a 64-byte granule holding
+// instructions a cached entry decoded, and then only the entries of that one page.
+
+TEST_F(SuperblockTest, StoreOutsideCodeGranulesKeepsDecodesAndBlocks) {
+  WarmBlock();
+  const uint64_t invalidations = machine_->bus().code_generation();
+  // Data next to code: same page, but granules no cached entry decoded (the block
+  // occupies granule 0; firmware trap frames and kernel data slots look like this).
+  machine_->bus().Write(kRam + 0x40, 8, 0x1122334455667788);
+  machine_->bus().Write(kRam + 0xFF8, 8, 0x99);
+  RunPass();
+  EXPECT_EQ(hart_->superblock_hits(), 2u);
+  EXPECT_EQ(machine_->bus().code_generation(), invalidations);
+  const uint64_t decode_hits = hart_->decode_cache_hits();
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  hart_->set_pc(kRam);
+  hart_->Tick();
+  EXPECT_EQ(hart_->decode_cache_hits(), decode_hits + 1);
+  EXPECT_EQ(hart_->decode_cache_misses(), decode_misses);
+}
+
+TEST_F(SuperblockTest, StoreIntoCodeGranuleBesideInstructionsInvalidates) {
+  WarmBlock();
+  const uint64_t invalidations = machine_->bus().code_generation();
+  // Bytes 0x20..0x27 share granule 0 with the block but hold none of its words:
+  // tracking is per granule, so this still counts as a store into code.
+  machine_->bus().Write(kRam + 0x20, 8, 0);
+  EXPECT_EQ(machine_->bus().code_generation(), invalidations + 1);
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  RunPass();  // stale block and decodes: per-instruction refill
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->decode_cache_misses(), decode_misses + 3);
+  RunPass();  // rebuild
+  RunPass();
+  EXPECT_EQ(hart_->superblock_hits(), 2u);
+}
+
+TEST_F(SuperblockTest, MisalignedStoreStraddlingIntoCodeGranuleInvalidates) {
+  WarmBlock(kRam + 0x40);  // granule 1
+  const uint64_t invalidations = machine_->bus().code_generation();
+  machine_->bus().Write(kRam + 0x38, 8, 0);  // all of granule 0: no code there
+  EXPECT_EQ(machine_->bus().code_generation(), invalidations);
+  // Starts in granule 0 and ends in granule 1, overwriting the block's first word
+  // with addi t2, zero, 7.
+  machine_->bus().Write(kRam + 0x3C, 8, 0x0070039300000000);
+  EXPECT_EQ(machine_->bus().code_generation(), invalidations + 1);
+  hart_->set_gpr(t0, 0);
+  RunPass(kRam + 0x40);
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->gpr(t0), 0u);  // the old addi t0, zero, 1 no longer runs
+}
+
+TEST_F(SuperblockTest, MisalignedStoreStraddlingIntoCodePageInvalidates) {
+  WarmBlock(kRam + 0x1000);
+  const uint64_t invalidations = machine_->bus().code_generation();
+  // Starts at the end of a page nothing executed from, ends in the code page's
+  // first granule.
+  machine_->bus().Write(kRam + 0xFFC, 8, 0x0070039300000000);
+  EXPECT_EQ(machine_->bus().code_generation(), invalidations + 1);
+  hart_->set_gpr(t0, 0);
+  RunPass(kRam + 0x1000);
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->gpr(t0), 0u);
+}
+
+TEST_F(SuperblockTest, WriteBytesIntoCodeInvalidates) {
+  WarmBlock();
+  const uint32_t word = 0x00700393;  // addi t2, zero, 7
+  ASSERT_TRUE(machine_->bus().WriteBytes(kRam + 8, &word, sizeof word));
+  hart_->set_gpr(t2, 0);
+  RunPass();
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->gpr(t2), 7u);
+}
+
+TEST_F(ThreadedTierTest, StoreToOneCodePageKeepsOtherPagesLoweredBlocks) {
+  constexpr uint64_t kPageA = kRam;
+  constexpr uint64_t kPageB = kRam + 0x2000;
+  WarmBlock(kPageA);
+  WarmBlock(kPageB);
+  const uint64_t promotions = hart_->threaded_promotions();
+  machine_->bus().Write(kPageA + 8, 4, 0x00700393);  // addi t2, zero, 7
+  RunPass(kPageB);  // page B's lowering is untouched by a store to page A
+  EXPECT_EQ(hart_->superblock_hits(), 3u);
+  EXPECT_EQ(hart_->threaded_promotions(), promotions);
+  EXPECT_EQ(hart_->gpr(t2), 3u);
+  RunPass(kPageA);  // page A's is stale
+  EXPECT_EQ(hart_->superblock_hits(), 3u);
+  EXPECT_EQ(hart_->gpr(t2), 7u);
+}
+
+TEST_F(TlbTest, StoreToFetchWalkPteInvalidatesDecodeCache) {
+  // Code at VA 0x4000 through a 4 KiB mapping (L0[4], made executable) onto
+  // kRam+0x6000; a second copy of the word, differing in its immediate, at
+  // kRam+0x7000. Remapping VA 0x4000 stores only into the page table, never into
+  // either code page: the cached decode must still go.
+  Bus& bus = machine_->bus();
+  bus.Write(kRam + 0x3000 + 8 * 4, 8, (((kRam + 0x6000) >> 12) << 10) | 0xCF);  // V R W X A D
+  bus.Write(kRam + 0x6000, 4, 0x00100293);  // addi t0, zero, 1
+  bus.Write(kRam + 0x7000, 4, 0x00200293);  // addi t0, zero, 2
+  hart_->set_pc(0x4000);
+  hart_->Tick();
+  ASSERT_EQ(hart_->gpr(t0), 1u);
+  hart_->set_pc(0x4000);
+  hart_->Tick();
+  ASSERT_EQ(hart_->decode_cache_hits(), 1u);
+  const uint64_t pt_invalidations = bus.pt_generation();
+  bus.Write(kRam + 0x3000 + 8 * 4, 8, (((kRam + 0x7000) >> 12) << 10) | 0xCF);
+  EXPECT_EQ(bus.pt_generation(), pt_invalidations + 1);
+  hart_->set_pc(0x4000);
+  hart_->Tick();
+  EXPECT_EQ(hart_->gpr(t0), 2u);
+  EXPECT_EQ(hart_->decode_cache_hits(), 1u);
+}
+
+TEST(QuantumCodeInvalidationTest, BarrierStoreInvalidatesOtherHartsBlock) {
+  // Hart 1 spins in a counting loop whose increment hart 0 patches from +1 to +7.
+  // Under the quantum schedule hart 0's store is buffered and reaches RAM at a
+  // barrier; hart 1's lowered loop must then go stale, so the loop ends with some
+  // +7 iterations. Serial and parallel segments must agree bit for bit.
+  const auto run = [](bool parallel) {
+    MachineConfig config;
+    config.hart_count = 2;
+    config.tuning.quantum_harts = !parallel;
+    config.tuning.parallel_harts = parallel;
+    Machine machine(config);
+    Assembler a(kRam);
+    a.Csrr(t0, kCsrMhartid);
+    a.Bnez(t0, "hart1");
+    a.Li(t1, 2000);  // hart 0: let hart 1 build and run its block first
+    a.Bind("delay");
+    a.Addi(t1, t1, -1);
+    a.Bnez(t1, "delay");
+    a.La(a3, "patch");
+    a.Li(a4, 0x00790913);  // addi s2, s2, 7
+    a.Sw(a4, a3, 0);
+    a.Bind("park");
+    a.J("park");
+    a.Align(4096);  // hart 1's loop on its own page
+    a.Bind("hart1");
+    a.Li(s2, 0);
+    a.Li(s3, 20000);
+    a.Li(s4, 0);
+    a.Bind("loop");
+    a.Bind("patch");
+    a.Addi(s2, s2, 1);
+    a.Addi(s4, s4, 1);
+    a.Blt(s4, s3, "loop");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    const bool finished = machine.RunUntilFinished(1'000'000);
+    const Hart& hart1 = machine.hart(1);
+    return std::make_tuple(finished, hart1.gpr(s2), hart1.instret(), hart1.cycles(),
+                           machine.hart(0).instret());
+  };
+  const auto serial = run(false);
+  EXPECT_TRUE(std::get<0>(serial));
+  const uint64_t s2 = std::get<1>(serial);
+  EXPECT_GT(s2, 20000u);          // the patch took effect...
+  EXPECT_LT(s2, 7u * 20000u);     // ...after hart 1 had run its loop unpatched
+  EXPECT_EQ((s2 - 20000) % 6, 0u);
+  EXPECT_EQ(serial, run(true));
 }
 
 // Fused ops retire several instructions at once, so a batch boundary that falls
