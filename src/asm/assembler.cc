@@ -216,6 +216,17 @@ void Assembler::Slliw(Reg rd, Reg rs1, unsigned shamt) {
   VFM_CHECK(shamt < 32);
   EmitI(static_cast<int32_t>(shamt), rs1, 1, rd, kOpImm32);
 }
+void Assembler::Srliw(Reg rd, Reg rs1, unsigned shamt) {
+  VFM_CHECK(shamt < 32);
+  EmitI(static_cast<int32_t>(shamt), rs1, 5, rd, kOpImm32);
+}
+void Assembler::Sraiw(Reg rd, Reg rs1, unsigned shamt) {
+  VFM_CHECK(shamt < 32);
+  EmitI(static_cast<int32_t>(shamt | 0x400), rs1, 5, rd, kOpImm32);
+}
+void Assembler::Sllw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x00, rs2, rs1, 1, rd, kOpReg32); }
+void Assembler::Srlw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x00, rs2, rs1, 5, rd, kOpReg32); }
+void Assembler::Sraw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x20, rs2, rs1, 5, rd, kOpReg32); }
 
 void Assembler::Fence() { Emit32((0x0FF << 20) | kOpMiscMem); }
 void Assembler::FenceI() { Emit32((1 << 12) | kOpMiscMem); }
@@ -223,11 +234,18 @@ void Assembler::Ecall() { Emit32(kOpSystem); }
 void Assembler::Ebreak() { Emit32((1 << 20) | kOpSystem); }
 
 void Assembler::Mul(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 0, rd, kOpReg); }
+void Assembler::Mulh(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 1, rd, kOpReg); }
+void Assembler::Mulhsu(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 2, rd, kOpReg); }
 void Assembler::Mulhu(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 3, rd, kOpReg); }
 void Assembler::Div(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 4, rd, kOpReg); }
 void Assembler::Divu(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 5, rd, kOpReg); }
 void Assembler::Rem(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 6, rd, kOpReg); }
 void Assembler::Remu(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 7, rd, kOpReg); }
+void Assembler::Mulw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 0, rd, kOpReg32); }
+void Assembler::Divw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 4, rd, kOpReg32); }
+void Assembler::Divuw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 5, rd, kOpReg32); }
+void Assembler::Remw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 6, rd, kOpReg32); }
+void Assembler::Remuw(Reg rd, Reg rs1, Reg rs2) { EmitR(0x01, rs2, rs1, 7, rd, kOpReg32); }
 
 void Assembler::LrW(Reg rd, Reg rs1) { EmitR(0x02 << 2, zero, rs1, 2, rd, kOpAmo); }
 void Assembler::ScW(Reg rd, Reg rs2, Reg rs1) { EmitR(0x03 << 2, rs2, rs1, 2, rd, kOpAmo); }

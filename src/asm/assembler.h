@@ -109,18 +109,30 @@ class Assembler {
   void Addw(Reg rd, Reg rs1, Reg rs2);
   void Subw(Reg rd, Reg rs1, Reg rs2);
   void Slliw(Reg rd, Reg rs1, unsigned shamt);
+  void Srliw(Reg rd, Reg rs1, unsigned shamt);
+  void Sraiw(Reg rd, Reg rs1, unsigned shamt);
+  void Sllw(Reg rd, Reg rs1, Reg rs2);
+  void Srlw(Reg rd, Reg rs1, Reg rs2);
+  void Sraw(Reg rd, Reg rs1, Reg rs2);
   void Fence();
   void FenceI();
   void Ecall();
   void Ebreak();
 
-  // -- RV64M (subset used by workloads). -------------------------------------------
+  // -- RV64M. ------------------------------------------------------------------------
   void Mul(Reg rd, Reg rs1, Reg rs2);
+  void Mulh(Reg rd, Reg rs1, Reg rs2);
+  void Mulhsu(Reg rd, Reg rs1, Reg rs2);
   void Mulhu(Reg rd, Reg rs1, Reg rs2);
   void Div(Reg rd, Reg rs1, Reg rs2);
   void Divu(Reg rd, Reg rs1, Reg rs2);
   void Rem(Reg rd, Reg rs1, Reg rs2);
   void Remu(Reg rd, Reg rs1, Reg rs2);
+  void Mulw(Reg rd, Reg rs1, Reg rs2);
+  void Divw(Reg rd, Reg rs1, Reg rs2);
+  void Divuw(Reg rd, Reg rs1, Reg rs2);
+  void Remw(Reg rd, Reg rs1, Reg rs2);
+  void Remuw(Reg rd, Reg rs1, Reg rs2);
 
   // -- RV64A (subset used by kernels). -----------------------------------------------
   void LrW(Reg rd, Reg rs1);

@@ -23,56 +23,6 @@ constexpr unsigned kA1 = 11;
 constexpr unsigned kA6 = 16;
 constexpr unsigned kA7 = 17;
 
-unsigned LoadStoreSize(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLw:
-    case Op::kLwu:
-    case Op::kSw:
-      return 4;
-    case Op::kLd:
-    case Op::kSd:
-      return 8;
-    default:
-      return 0;
-  }
-}
-
-bool IsLoadOp(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-      return true;
-    default:
-      return false;
-  }
-}
-
-uint64_t SignExtendLoad(Op op, uint64_t value) {
-  switch (op) {
-    case Op::kLb:
-      return SignExtend(value, 8);
-    case Op::kLh:
-      return SignExtend(value, 16);
-    case Op::kLw:
-      return SignExtend(value, 32);
-    default:
-      return value;
-  }
-}
-
 bool OffloadAllowed(const MonitorConfig& config, OsTrapCause cause) {
   return config.offload_enabled &&
          (config.offload_mask & (uint32_t{1} << static_cast<unsigned>(cause))) != 0;
@@ -365,22 +315,22 @@ void Monitor::HandleFirmwareMemFault(Hart& hart, const TrapInfo& trap) {
 bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  const MemAccess access = MemAccessOf(instr.op);
+  if (access.size == 0) {
     return false;  // not a plain load/store (e.g. an AMO): not emulated
   }
   const uint64_t offset = addr - machine_->config().map.clint_base;
   ++stats_.mmio_emulations;
   ChargeCsrAccesses(hart, 6);
 
-  if (IsLoadOp(instr.op)) {
+  if (access.load()) {
     uint64_t value = 0;
-    if (!vclint_.Read(offset, size, &value)) {
+    if (!vclint_.Read(offset, access.size, &value)) {
       return false;
     }
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, value));
+    hart.set_gpr(instr.rd, access.Extend(value));
   } else {
-    if (!vclint_.Write(offset, size, hart.gpr(instr.rs2))) {
+    if (!vclint_.Write(offset, access.size, hart.gpr(instr.rs2))) {
       return false;
     }
     RefreshVirtualClintLines();
@@ -406,8 +356,8 @@ bool Monitor::EmulateVirtClintAccess(Hart& hart, uint64_t addr) {
 bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  const MemAccess access = MemAccessOf(instr.op);
+  if (access.size == 0) {
     return false;
   }
   ++stats_.mprv_emulations;
@@ -426,9 +376,9 @@ bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
     vbank.SetAddr(i, vcsr.pmpaddr(i));
   }
 
-  const bool is_load = IsLoadOp(instr.op);
+  const bool is_load = access.load();
   uint64_t assembled = 0;
-  for (unsigned i = 0; i < size; ++i) {
+  for (unsigned i = 0; i < access.size; ++i) {
     machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access +
                                              machine_->config().cost.page_walk_level);
     if (is_load) {
@@ -452,7 +402,7 @@ bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
   }
   (void)cause;
   if (is_load) {
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, assembled));
+    hart.set_gpr(instr.rd, access.Extend(assembled));
   }
   hs.vctx.set_pc(hart.csrs().mepc() + 4);
   ResumeFirmware(hart);
@@ -652,17 +602,17 @@ bool Monitor::EmulateMisalignedOs(Hart& hart, const TrapInfo& trap) {
     return false;
   }
   const DecodedInstr instr = Decode(static_cast<uint32_t>(word));
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  const MemAccess access = MemAccessOf(instr.op);
+  if (access.size == 0) {
     return false;
   }
   const bool is_load = trap.cause == CauseValue(ExceptionCause::kLoadAddrMisaligned);
-  if (is_load != IsLoadOp(instr.op)) {
+  if (is_load != access.load()) {
     return false;
   }
 
   uint64_t assembled = 0;
-  for (unsigned i = 0; i < size; ++i) {
+  for (unsigned i = 0; i < access.size; ++i) {
     machine_->ChargeCycles(hart.index(), machine_->config().cost.hal_mem_access);
     if (is_load) {
       uint64_t byte = 0;
@@ -678,7 +628,7 @@ bool Monitor::EmulateMisalignedOs(Hart& hart, const TrapInfo& trap) {
     }
   }
   if (is_load) {
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, assembled));
+    hart.set_gpr(instr.rd, access.Extend(assembled));
   }
   ++stats_.fastpath_hits;
   ReturnToOs(hart, pcsr.mepc() + 4);
@@ -935,7 +885,7 @@ void Monitor::DenyAction(Hart& hart, const char* what, uint64_t detail) {
   HartState& hs = state(hart);
   if (hs.in_firmware) {
     const DecodedInstr instr = FetchFirmwareInstr(hart);
-    if (IsLoadOp(instr.op)) {
+    if (MemAccessOf(instr.op).load()) {
       hart.set_gpr(instr.rd, 0);
     }
     hs.vctx.set_pc(hart.csrs().mepc() + 4);
@@ -948,19 +898,19 @@ void Monitor::DenyAction(Hart& hart, const char* what, uint64_t detail) {
 bool Monitor::EmulateMmioPassthrough(Hart& hart, uint64_t addr) {
   HartState& hs = state(hart);
   const DecodedInstr instr = FetchFirmwareInstr(hart);
-  const unsigned size = LoadStoreSize(instr.op);
-  if (size == 0) {
+  const MemAccess access = MemAccessOf(instr.op);
+  if (access.size == 0) {
     return false;
   }
   ChargeCsrAccesses(hart, 4);
-  if (IsLoadOp(instr.op)) {
+  if (access.load()) {
     uint64_t value = 0;
-    if (!machine_->bus().Read(addr, size, &value)) {
+    if (!machine_->bus().Read(addr, access.size, &value)) {
       return false;
     }
-    hart.set_gpr(instr.rd, SignExtendLoad(instr.op, value));
+    hart.set_gpr(instr.rd, access.Extend(value));
   } else {
-    if (!machine_->bus().Write(addr, size, hart.gpr(instr.rs2))) {
+    if (!machine_->bus().Write(addr, access.size, hart.gpr(instr.rs2))) {
       return false;
     }
   }

@@ -31,7 +31,7 @@ enum class Form {
   kNone,      // mnemonic only
   kRdImm,     // lui/auipc
   kRdRs1Imm,  // addi etc.
-  kRdRs1Rs2,  // add etc.
+  kRdRs1Reg,  // add etc.
   kLoad,      // ld rd, imm(rs1)
   kStore,     // sd rs2, imm(rs1)
   kBranch,    // beq rs1, rs2, imm
@@ -52,40 +52,19 @@ Form FormOf(Op op) {
       return Form::kJal;
     case Op::kJalr:
       return Form::kJalr;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
+#define VFM_X(name, ...) case Op::k##name:
+    VFM_BRANCH_OPS(VFM_X)
       return Form::kBranch;
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
+    VFM_LOAD_OPS(VFM_X)
       return Form::kLoad;
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kSd:
+    VFM_STORE_OPS(VFM_X)
       return Form::kStore;
-    case Op::kAddi:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kXori:
-    case Op::kOri:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kSrai:
-    case Op::kAddiw:
-    case Op::kSlliw:
-    case Op::kSrliw:
-    case Op::kSraiw:
-      return Form::kRdRs1Imm;
+#undef VFM_X
+#define VFM_X(name, form, cost, result) \
+  case Op::k##name:                     \
+    return Form::kRdRs1##form;
+    VFM_ALU_OPS(VFM_X)
+#undef VFM_X
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
@@ -130,9 +109,8 @@ Form FormOf(Op op) {
     case Op::kAmominuD:
     case Op::kAmomaxuD:
       return Form::kAmo;
-    default:
-      return Form::kRdRs1Rs2;
   }
+  return Form::kNone;
 }
 
 }  // namespace
@@ -148,7 +126,7 @@ std::string Disassemble(const DecodedInstr& d) {
     case Form::kRdRs1Imm:
       return Format("%s %s, %s, %lld", name, RegName(d.rd), RegName(d.rs1),
                     static_cast<long long>(d.imm));
-    case Form::kRdRs1Rs2:
+    case Form::kRdRs1Reg:
       return Format("%s %s, %s, %s", name, RegName(d.rd), RegName(d.rs1), RegName(d.rs2));
     case Form::kLoad:
       return Format("%s %s, %lld(%s)", name, RegName(d.rd), static_cast<long long>(d.imm),

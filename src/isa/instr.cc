@@ -1,5 +1,7 @@
 #include "src/isa/instr.h"
 
+#include <cstddef>
+
 #include "src/common/bits.h"
 
 namespace vfm {
@@ -354,58 +356,36 @@ DecodedInstr Decode(uint32_t w) {
   }
 }
 
+namespace {
+
+// A table op's mnemonic is its name in lower case: "Sraiw" -> "sraiw".
+template <size_t N>
+struct Mnemonic {
+  char text[N] = {};
+  constexpr explicit Mnemonic(const char (&name)[N]) {
+    for (size_t i = 0; i < N; ++i) {
+      const bool upper = name[i] >= 'A' && name[i] <= 'Z';
+      text[i] = upper ? static_cast<char>(name[i] - 'A' + 'a') : name[i];
+    }
+  }
+};
+
+}  // namespace
+
 const char* OpName(Op op) {
   switch (op) {
+#define VFM_X(name, ...)                        \
+  case Op::k##name: {                           \
+    static constexpr Mnemonic kMnemonic(#name); \
+    return kMnemonic.text;                      \
+  }
+    VFM_RV64IM_OPS(VFM_X)
+#undef VFM_X
     case Op::kInvalid: return "invalid";
     case Op::kLui: return "lui";
     case Op::kAuipc: return "auipc";
     case Op::kJal: return "jal";
     case Op::kJalr: return "jalr";
-    case Op::kBeq: return "beq";
-    case Op::kBne: return "bne";
-    case Op::kBlt: return "blt";
-    case Op::kBge: return "bge";
-    case Op::kBltu: return "bltu";
-    case Op::kBgeu: return "bgeu";
-    case Op::kLb: return "lb";
-    case Op::kLh: return "lh";
-    case Op::kLw: return "lw";
-    case Op::kLd: return "ld";
-    case Op::kLbu: return "lbu";
-    case Op::kLhu: return "lhu";
-    case Op::kLwu: return "lwu";
-    case Op::kSb: return "sb";
-    case Op::kSh: return "sh";
-    case Op::kSw: return "sw";
-    case Op::kSd: return "sd";
-    case Op::kAddi: return "addi";
-    case Op::kSlti: return "slti";
-    case Op::kSltiu: return "sltiu";
-    case Op::kXori: return "xori";
-    case Op::kOri: return "ori";
-    case Op::kAndi: return "andi";
-    case Op::kSlli: return "slli";
-    case Op::kSrli: return "srli";
-    case Op::kSrai: return "srai";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kSll: return "sll";
-    case Op::kSlt: return "slt";
-    case Op::kSltu: return "sltu";
-    case Op::kXor: return "xor";
-    case Op::kSrl: return "srl";
-    case Op::kSra: return "sra";
-    case Op::kOr: return "or";
-    case Op::kAnd: return "and";
-    case Op::kAddiw: return "addiw";
-    case Op::kSlliw: return "slliw";
-    case Op::kSrliw: return "srliw";
-    case Op::kSraiw: return "sraiw";
-    case Op::kAddw: return "addw";
-    case Op::kSubw: return "subw";
-    case Op::kSllw: return "sllw";
-    case Op::kSrlw: return "srlw";
-    case Op::kSraw: return "sraw";
     case Op::kFence: return "fence";
     case Op::kFenceI: return "fence.i";
     case Op::kEcall: return "ecall";
@@ -416,19 +396,6 @@ const char* OpName(Op op) {
     case Op::kCsrrwi: return "csrrwi";
     case Op::kCsrrsi: return "csrrsi";
     case Op::kCsrrci: return "csrrci";
-    case Op::kMul: return "mul";
-    case Op::kMulh: return "mulh";
-    case Op::kMulhsu: return "mulhsu";
-    case Op::kMulhu: return "mulhu";
-    case Op::kDiv: return "div";
-    case Op::kDivu: return "divu";
-    case Op::kRem: return "rem";
-    case Op::kRemu: return "remu";
-    case Op::kMulw: return "mulw";
-    case Op::kDivw: return "divw";
-    case Op::kDivuw: return "divuw";
-    case Op::kRemw: return "remw";
-    case Op::kRemuw: return "remuw";
     case Op::kLrW: return "lr.w";
     case Op::kScW: return "sc.w";
     case Op::kAmoswapW: return "amoswap.w";
@@ -485,71 +452,19 @@ bool OpIsPrivileged(Op op) {
 
 SbClass SuperblockClass(Op op) {
   switch (op) {
+#define VFM_X(name, ...) case Op::k##name:
+    VFM_ALU_OPS(VFM_X)
     case Op::kLui:
     case Op::kAuipc:
-    case Op::kAddi:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kXori:
-    case Op::kOri:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kSrai:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kSll:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kXor:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kOr:
-    case Op::kAnd:
-    case Op::kAddiw:
-    case Op::kSlliw:
-    case Op::kSrliw:
-    case Op::kSraiw:
-    case Op::kAddw:
-    case Op::kSubw:
-    case Op::kSllw:
-    case Op::kSrlw:
-    case Op::kSraw:
-    case Op::kMul:
-    case Op::kMulh:
-    case Op::kMulhsu:
-    case Op::kMulhu:
-    case Op::kDiv:
-    case Op::kDivu:
-    case Op::kRem:
-    case Op::kRemu:
-    case Op::kMulw:
-    case Op::kDivw:
-    case Op::kDivuw:
-    case Op::kRemw:
-    case Op::kRemuw:
       return SbClass::kSimple;
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kSd:
+    VFM_LOAD_OPS(VFM_X)
+    VFM_STORE_OPS(VFM_X)
       return SbClass::kMem;
+    VFM_BRANCH_OPS(VFM_X)
     case Op::kJal:
     case Op::kJalr:
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
       return SbClass::kBranch;
+#undef VFM_X
     default:
       // CSR ops, ecall/ebreak, xRET, WFI, fences, AMOs, and undecodable words: all can
       // trap, change translation/interrupt state, or need per-instruction ordering.
@@ -557,71 +472,30 @@ SbClass SuperblockClass(Op op) {
   }
 }
 
+CostClass OpCostClass(Op op) {
+  switch (op) {
+#define VFM_X(name, form, cost, result) \
+  case Op::k##name:                     \
+    return CostClass::k##cost;
+    VFM_ALU_OPS(VFM_X)
+#undef VFM_X
+    default:
+      return CostClass::kBase;
+  }
+}
+
 LoweredOp LoweredOpFor(Op op) {
   switch (op) {
+#define VFM_X(name, ...) \
+  case Op::k##name:      \
+    return LoweredOp::k##name;
+    VFM_RV64IM_OPS(VFM_X)
+#undef VFM_X
     case Op::kLui:
     case Op::kAuipc:
       return LoweredOp::kConst;
-    case Op::kAddi: return LoweredOp::kAddi;
-    case Op::kSlti: return LoweredOp::kSlti;
-    case Op::kSltiu: return LoweredOp::kSltiu;
-    case Op::kXori: return LoweredOp::kXori;
-    case Op::kOri: return LoweredOp::kOri;
-    case Op::kAndi: return LoweredOp::kAndi;
-    case Op::kSlli: return LoweredOp::kSlli;
-    case Op::kSrli: return LoweredOp::kSrli;
-    case Op::kSrai: return LoweredOp::kSrai;
-    case Op::kAddiw: return LoweredOp::kAddiw;
-    case Op::kSlliw: return LoweredOp::kSlliw;
-    case Op::kSrliw: return LoweredOp::kSrliw;
-    case Op::kSraiw: return LoweredOp::kSraiw;
-    case Op::kAdd: return LoweredOp::kAdd;
-    case Op::kSub: return LoweredOp::kSub;
-    case Op::kSll: return LoweredOp::kSll;
-    case Op::kSlt: return LoweredOp::kSlt;
-    case Op::kSltu: return LoweredOp::kSltu;
-    case Op::kXor: return LoweredOp::kXor;
-    case Op::kSrl: return LoweredOp::kSrl;
-    case Op::kSra: return LoweredOp::kSra;
-    case Op::kOr: return LoweredOp::kOr;
-    case Op::kAnd: return LoweredOp::kAnd;
-    case Op::kAddw: return LoweredOp::kAddw;
-    case Op::kSubw: return LoweredOp::kSubw;
-    case Op::kSllw: return LoweredOp::kSllw;
-    case Op::kSrlw: return LoweredOp::kSrlw;
-    case Op::kSraw: return LoweredOp::kSraw;
-    case Op::kMul: return LoweredOp::kMul;
-    case Op::kMulh: return LoweredOp::kMulh;
-    case Op::kMulhsu: return LoweredOp::kMulhsu;
-    case Op::kMulhu: return LoweredOp::kMulhu;
-    case Op::kDiv: return LoweredOp::kDiv;
-    case Op::kDivu: return LoweredOp::kDivu;
-    case Op::kRem: return LoweredOp::kRem;
-    case Op::kRemu: return LoweredOp::kRemu;
-    case Op::kMulw: return LoweredOp::kMulw;
-    case Op::kDivw: return LoweredOp::kDivw;
-    case Op::kDivuw: return LoweredOp::kDivuw;
-    case Op::kRemw: return LoweredOp::kRemw;
-    case Op::kRemuw: return LoweredOp::kRemuw;
-    case Op::kBeq: return LoweredOp::kBeq;
-    case Op::kBne: return LoweredOp::kBne;
-    case Op::kBlt: return LoweredOp::kBlt;
-    case Op::kBge: return LoweredOp::kBge;
-    case Op::kBltu: return LoweredOp::kBltu;
-    case Op::kBgeu: return LoweredOp::kBgeu;
     case Op::kJal: return LoweredOp::kJal;
     case Op::kJalr: return LoweredOp::kJalr;
-    case Op::kLb: return LoweredOp::kLb;
-    case Op::kLh: return LoweredOp::kLh;
-    case Op::kLw: return LoweredOp::kLw;
-    case Op::kLd: return LoweredOp::kLd;
-    case Op::kLbu: return LoweredOp::kLbu;
-    case Op::kLhu: return LoweredOp::kLhu;
-    case Op::kLwu: return LoweredOp::kLwu;
-    case Op::kSb: return LoweredOp::kSb;
-    case Op::kSh: return LoweredOp::kSh;
-    case Op::kSw: return LoweredOp::kSw;
-    case Op::kSd: return LoweredOp::kSd;
     default:
       return LoweredOp::kEnd;  // barriers/invalid: never lowerable inside a block
   }

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 
+#include "src/isa/semantics.h"
+
 namespace vfm {
 
 enum class Op : uint16_t {
@@ -77,37 +79,50 @@ SbClass SuperblockClass(Op op);
 // Lowered-op vocabulary of the hart's block tier (DESIGN.md §2f). Every superblock is
 // translated into a run of these as it is built: operands and sign-extended
 // immediates are baked in, `li`/`auipc`+ALU-immediate chains fold into a single
-// kConstChain, compare+branch-on-zero pairs fuse (kSlt*B*z), link-less jumps get
+// kConstChain, compare+branch-on-zero pairs fuse (VFM_FUSED_OPS), link-less jumps get
 // dedicated forms (kJ/kJr), and loads/stores carry the host-pointer fast path inline.
 // kEnd terminates blocks that do not end in a branch (and doubles as "not lowerable"
-// from LoweredOpFor — barriers never appear inside a block). The X-macro keeps the
-// enum, the computed-goto label table, and the switch fallback in lockstep.
-#define VFM_LOWERED_OPS(X)                                                      \
-  X(End) X(Nop) X(Const) X(ConstChain)                                          \
-  X(Addi) X(Slti) X(Sltiu) X(Xori) X(Ori) X(Andi) X(Slli) X(Srli) X(Srai)      \
-  X(Addiw) X(Slliw) X(Srliw) X(Sraiw)                                           \
-  X(Add) X(Sub) X(Sll) X(Slt) X(Sltu) X(Xor) X(Srl) X(Sra) X(Or) X(And)        \
-  X(Addw) X(Subw) X(Sllw) X(Srlw) X(Sraw)                                       \
-  X(Mul) X(Mulh) X(Mulhsu) X(Mulhu) X(Div) X(Divu) X(Rem) X(Remu)              \
-  X(Mulw) X(Divw) X(Divuw) X(Remw) X(Remuw)                                     \
-  X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                                   \
-  X(J) X(Jal) X(Jr) X(Jalr)                                                     \
-  X(SltBeqz) X(SltBnez) X(SltuBeqz) X(SltuBnez)                                 \
-  X(SltiBeqz) X(SltiBnez) X(SltiuBeqz) X(SltiuBnez)                             \
-  X(Lb) X(Lh) X(Lw) X(Ld) X(Lbu) X(Lhu) X(Lwu)                                  \
-  X(Sb) X(Sh) X(Sw) X(Sd)
+// from LoweredOpFor — barriers never appear inside a block). Each RV64IM table op
+// (src/isa/semantics.h) lowers 1:1 to the op of the same name. The X-macro keeps the
+// enum, the computed-goto label table, and the switch fallback in lockstep; its
+// consumers take X(name, ...).
+#define VFM_LOWERED_OPS(X)                                                       \
+  X(End) X(Nop) X(Const) X(ConstChain)                                           \
+  VFM_ALU_OPS(X) VFM_BRANCH_OPS(X) X(J) X(Jal) X(Jr) X(Jalr) VFM_FUSED_OPS(X)    \
+  VFM_LOAD_OPS(X) VFM_STORE_OPS(X)
 
 enum class LoweredOp : uint8_t {
-#define VFM_X(name) k##name,
+#define VFM_X(name, ...) k##name,
   VFM_LOWERED_OPS(VFM_X)
 #undef VFM_X
 };
 
 constexpr unsigned kLoweredOpCount = 0
-#define VFM_X(name) +1
+#define VFM_X(name, ...) +1
     VFM_LOWERED_OPS(VFM_X)
 #undef VFM_X
     ;
+
+// The cycle class of an ALU/M op; kBase for every other op.
+CostClass OpCostClass(Op op);
+
+// The access a plain load or store makes (MemAccess::size == 0 for other ops).
+constexpr MemAccess MemAccessOf(Op op) {
+  switch (op) {
+#define VFM_X(name, bytes, sign) \
+  case Op::k##name:              \
+    return {bytes, false, sign};
+    VFM_LOAD_OPS(VFM_X)
+#undef VFM_X
+#define VFM_X(name, bytes) \
+  case Op::k##name:        \
+    return {bytes, true, false};
+    VFM_STORE_OPS(VFM_X)
+#undef VFM_X
+    default:
+      return {};
+  }
+}
 
 // The 1:1 part of the lowering table: the LoweredOp an Op maps to before fusion and
 // folding refine it (lui/auipc become kConst, kJal/kJalr degrade to kJ/kJr when

@@ -120,9 +120,12 @@ std::shared_ptr<RamImage> Ram::Freeze() {
   return image_;
 }
 
+bool Ram::Fits(const RamImage* image) const {
+  return image != nullptr && image->size() == map_size();
+}
+
 void Ram::AdoptImage(std::shared_ptr<RamImage> image) {
-  VFM_CHECK_MSG(image != nullptr && image->size() == map_size(),
-                "RAM image size mismatch");
+  VFM_CHECK_MSG(Fits(image.get()), "RAM image size mismatch");
   if (image == image_ && !maybe_dirty_) {
     return;  // already an unmodified view of this image
   }
@@ -309,8 +312,20 @@ void Bus::FreezeRam(std::vector<std::shared_ptr<RamImage>>* images) {
   }
 }
 
+bool Bus::RamFits(const std::vector<std::shared_ptr<RamImage>>& images) const {
+  if (images.size() != ram_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < ram_.size(); ++i) {
+    if (!ram_[i]->Fits(images[i].get())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Bus::AdoptRam(const std::vector<std::shared_ptr<RamImage>>& images) {
-  VFM_CHECK_MSG(images.size() == ram_.size(), "snapshot RAM region count mismatch");
+  VFM_CHECK_MSG(RamFits(images), "snapshot RAM images do not match the RAM regions");
   for (size_t i = 0; i < ram_.size(); ++i) {
     ram_[i]->AdoptImage(images[i]);
   }

@@ -125,6 +125,8 @@ class Ram {
   // materialize on first write. Page marks are untouched (the caller owns mark
   // policy on restore).
   void AdoptImage(std::shared_ptr<RamImage> image);
+  // True when `image` is the size AdoptImage requires.
+  bool Fits(const RamImage* image) const;
   // Conservative dirty tracking for Freeze()'s O(1) reuse: any path that may have
   // modified RAM sets this; Freeze clears it.
   void SetMaybeDirty() { maybe_dirty_ = true; }
@@ -259,6 +261,8 @@ class Bus {
   // -- Snapshot support (DESIGN.md §2h). --------------------------------------------
   // Freezes every RAM region into CoW images, appended to *images in region order.
   void FreezeRam(std::vector<std::shared_ptr<RamImage>>* images);
+  // True when `images` match the RAM regions in count and size, as AdoptRam requires.
+  bool RamFits(const std::vector<std::shared_ptr<RamImage>>& images) const;
   // Rebinds every RAM region to the matching image (region order; count and sizes
   // must match the bus's regions). Clears all dependency marks and code granules
   // (code generations keep counting): the caller is restoring into a machine whose

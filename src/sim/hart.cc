@@ -12,31 +12,6 @@ namespace vfm {
 
 namespace {
 
-unsigned AccessSizeOf(Op op) {
-  switch (op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLw:
-    case Op::kLwu:
-    case Op::kSw:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
-bool IsStoreOp(Op op) { return op == Op::kSb || op == Op::kSh || op == Op::kSw || op == Op::kSd; }
-
-}  // namespace
-
-namespace {
-
 // Rounds up to a power of two so the index is a mask.
 uint64_t RoundUpPow2(uint64_t entries) {
   while ((entries & (entries - 1)) != 0) {
@@ -855,35 +830,16 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
   ThreadedOp op;
   op.next_pc = pc + 4;
   op.imm = d.imm;
-  op.cycles = static_cast<uint32_t>(cost_->instr_base + entry.extra_cycles);
+  op.cycles = static_cast<uint32_t>(AluCycles(OpCostClass(d.op)) + entry.extra_cycles);
   op.a = d.rd;
   op.b = d.rs1;
   op.c = d.rs2;
   LoweredOp kind = LoweredOpFor(d.op);
 
   if (cls == SbClass::kSimple) {
-    switch (d.op) {
-      case Op::kAuipc:
-        // The block's virtual pc is static, so auipc is a constant at lowering time.
-        op.imm = static_cast<int64_t>(pc + static_cast<uint64_t>(d.imm));
-        break;
-      case Op::kMul:
-      case Op::kMulh:
-      case Op::kMulhsu:
-      case Op::kMulhu:
-      case Op::kDiv:
-      case Op::kDivu:
-      case Op::kRem:
-      case Op::kRemu:
-      case Op::kMulw:
-      case Op::kDivw:
-      case Op::kDivuw:
-      case Op::kRemw:
-      case Op::kRemuw:
-        op.cycles += static_cast<uint32_t>(cost_->instr_muldiv);
-        break;
-      default:
-        break;
+    if (d.op == Op::kAuipc) {
+      // The block's virtual pc is static, so auipc is a constant at lowering time.
+      op.imm = static_cast<int64_t>(pc + static_cast<uint64_t>(d.imm));
     }
     if (d.rd == 0) {
       kind = LoweredOp::kNop;  // x0-targeted ALU ops only charge cycles
@@ -902,46 +858,16 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
         const uint64_t imm = static_cast<uint64_t>(d.imm);
         bool folded = true;
         switch (d.op) {
-          case Op::kAddi:
-            v += imm;
-            break;
-          case Op::kXori:
-            v ^= imm;
-            break;
-          case Op::kOri:
-            v |= imm;
-            break;
-          case Op::kAndi:
-            v &= imm;
-            break;
-          case Op::kSlli:
-            v <<= (d.imm & 63);
-            break;
-          case Op::kSrli:
-            v >>= (d.imm & 63);
-            break;
-          case Op::kSrai:
-            v = static_cast<uint64_t>(static_cast<int64_t>(v) >> (d.imm & 63));
-            break;
-          case Op::kSlti:
-            v = static_cast<int64_t>(v) < d.imm ? 1 : 0;
-            break;
-          case Op::kSltiu:
-            v = v < imm ? 1 : 0;
-            break;
-          case Op::kAddiw:
-            v = SignExtend((v + imm) & 0xFFFFFFFF, 32);
-            break;
-          case Op::kSlliw:
-            v = SignExtend((v << (d.imm & 31)) & 0xFFFFFFFF, 32);
-            break;
-          case Op::kSrliw:
-            v = SignExtend((v & 0xFFFFFFFF) >> (d.imm & 31), 32);
-            break;
-          case Op::kSraiw:
-            v = static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(v)) >>
-                                      (d.imm & 31));
-            break;
+#define VFM_FOLD_Reg(name)
+#define VFM_FOLD_Imm(name) \
+  case Op::k##name:        \
+    v = sem::name(v, imm); \
+    break;
+#define VFM_X(name, form, cost, result) VFM_FOLD_##form(name)
+          VFM_ALU_OPS(VFM_X)
+#undef VFM_X
+#undef VFM_FOLD_Imm
+#undef VFM_FOLD_Reg
           default:
             folded = false;
             break;
@@ -971,28 +897,17 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
         // Compare+branch fusion: slt/sltu/slti/sltiu whose result feeds an
         // immediately following beqz/bnez fuses into one op (the compare rd is
         // still written — it stays architecturally visible).
-        if ((d.op == Op::kBeq || d.op == Op::kBne) && d.rs2 == 0 && sb->op_count != 0) {
+        if (d.rs2 == 0 && sb->op_count != 0) {
           ThreadedOp& prev = sb->ops[sb->op_count - 1];
           const LoweredOp pk = static_cast<LoweredOp>(prev.kind);
-          const bool on_zero = d.op == Op::kBeq;
           LoweredOp fused = LoweredOp::kEnd;
           if (prev.count == 1 && prev.a == d.rs1 && prev.a != 0) {
-            switch (pk) {
-              case LoweredOp::kSlt:
-                fused = on_zero ? LoweredOp::kSltBeqz : LoweredOp::kSltBnez;
-                break;
-              case LoweredOp::kSltu:
-                fused = on_zero ? LoweredOp::kSltuBeqz : LoweredOp::kSltuBnez;
-                break;
-              case LoweredOp::kSlti:
-                fused = on_zero ? LoweredOp::kSltiBeqz : LoweredOp::kSltiBnez;
-                break;
-              case LoweredOp::kSltiu:
-                fused = on_zero ? LoweredOp::kSltiuBeqz : LoweredOp::kSltiuBnez;
-                break;
-              default:
-                break;
-            }
+#define VFM_X(name, cmp, form, branch)                    \
+  if (pk == LoweredOp::k##cmp && d.op == Op::k##branch) { \
+    fused = LoweredOp::k##name;                           \
+  }
+            VFM_FUSED_OPS(VFM_X)
+#undef VFM_X
           }
           if (fused != LoweredOp::kEnd) {
             prev.imm2 = static_cast<int32_t>(prev.imm);  // compare immediate
@@ -1062,10 +977,10 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
     // Checked handlers first, then the unchecked set (same X-macro order), so
     // ThreadedOp::Bind indexes checked at [kind] and unchecked at [count + kind].
     static const void* const kTable[] = {
-#define VFM_X(name) &&t_##name,
+#define VFM_X(name, ...) &&t_##name,
         VFM_LOWERED_OPS(VFM_X)
 #undef VFM_X
-#define VFM_X(name) &&u_##name,
+#define VFM_X(name, ...) &&u_##name,
         VFM_LOWERED_OPS(VFM_X)
 #undef VFM_X
     };
@@ -1239,7 +1154,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
 #if !VFM_THREADED_GOTO
 dispatch:
   switch (static_cast<LoweredOp>(op->kind)) {
-#define VFM_X(name)        \
+#define VFM_X(name, ...)   \
   case LoweredOp::k##name: \
     goto t_##name;
     VFM_LOWERED_OPS(VFM_X)
@@ -1402,227 +1317,26 @@ StepResult Hart::Execute(const DecodedInstr& d) {
       set_gpr(d.rd, next);
       return Retire(target, base_cost);
     }
-    case Op::kBeq:
-      return Retire(rs1 == rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBne:
-      return Retire(rs1 != rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBlt:
-      return Retire(static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2)
-                        ? pc_ + static_cast<uint64_t>(d.imm)
-                        : next,
-                    base_cost);
-    case Op::kBge:
-      return Retire(static_cast<int64_t>(rs1) >= static_cast<int64_t>(rs2)
-                        ? pc_ + static_cast<uint64_t>(d.imm)
-                        : next,
-                    base_cost);
-    case Op::kBltu:
-      return Retire(rs1 < rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-    case Op::kBgeu:
-      return Retire(rs1 >= rs2 ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
-
-    case Op::kLb:
-    case Op::kLh:
-    case Op::kLw:
-    case Op::kLd:
-    case Op::kLbu:
-    case Op::kLhu:
-    case Op::kLwu:
-    case Op::kSb:
-    case Op::kSh:
-    case Op::kSw:
-    case Op::kSd:
+#define VFM_OPERAND_Reg rs2
+#define VFM_OPERAND_Imm static_cast<uint64_t>(d.imm)
+#define VFM_X(name, form, cost, result)                \
+  case Op::k##name:                                    \
+    set_gpr(d.rd, sem::name(rs1, VFM_OPERAND_##form)); \
+    return Retire(next, AluCycles(CostClass::k##cost));
+    VFM_ALU_OPS(VFM_X)
+#undef VFM_X
+#undef VFM_OPERAND_Imm
+#undef VFM_OPERAND_Reg
+#define VFM_X(name, taken) \
+  case Op::k##name:        \
+    return Retire(sem::name(rs1, rs2) ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
+    VFM_BRANCH_OPS(VFM_X)
+#undef VFM_X
+#define VFM_X(name, ...) case Op::k##name:
+    VFM_LOAD_OPS(VFM_X)
+    VFM_STORE_OPS(VFM_X)
+#undef VFM_X
       return ExecuteLoadStore(d);
-
-    case Op::kAddi:
-      set_gpr(d.rd, rs1 + static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kSlti:
-      set_gpr(d.rd, static_cast<int64_t>(rs1) < d.imm ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kSltiu:
-      set_gpr(d.rd, rs1 < static_cast<uint64_t>(d.imm) ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kXori:
-      set_gpr(d.rd, rs1 ^ static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kOri:
-      set_gpr(d.rd, rs1 | static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kAndi:
-      set_gpr(d.rd, rs1 & static_cast<uint64_t>(d.imm));
-      return Retire(next, base_cost);
-    case Op::kSlli:
-      set_gpr(d.rd, rs1 << (d.imm & 63));
-      return Retire(next, base_cost);
-    case Op::kSrli:
-      set_gpr(d.rd, rs1 >> (d.imm & 63));
-      return Retire(next, base_cost);
-    case Op::kSrai:
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (d.imm & 63)));
-      return Retire(next, base_cost);
-
-    case Op::kAdd:
-      set_gpr(d.rd, rs1 + rs2);
-      return Retire(next, base_cost);
-    case Op::kSub:
-      set_gpr(d.rd, rs1 - rs2);
-      return Retire(next, base_cost);
-    case Op::kSll:
-      set_gpr(d.rd, rs1 << (rs2 & 63));
-      return Retire(next, base_cost);
-    case Op::kSlt:
-      set_gpr(d.rd, static_cast<int64_t>(rs1) < static_cast<int64_t>(rs2) ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kSltu:
-      set_gpr(d.rd, rs1 < rs2 ? 1 : 0);
-      return Retire(next, base_cost);
-    case Op::kXor:
-      set_gpr(d.rd, rs1 ^ rs2);
-      return Retire(next, base_cost);
-    case Op::kSrl:
-      set_gpr(d.rd, rs1 >> (rs2 & 63));
-      return Retire(next, base_cost);
-    case Op::kSra:
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(rs1) >> (rs2 & 63)));
-      return Retire(next, base_cost);
-    case Op::kOr:
-      set_gpr(d.rd, rs1 | rs2);
-      return Retire(next, base_cost);
-    case Op::kAnd:
-      set_gpr(d.rd, rs1 & rs2);
-      return Retire(next, base_cost);
-
-    case Op::kAddiw:
-      set_gpr(d.rd, SignExtend((rs1 + static_cast<uint64_t>(d.imm)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSlliw:
-      set_gpr(d.rd, SignExtend((rs1 << (d.imm & 31)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSrliw:
-      set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (d.imm & 31), 32));
-      return Retire(next, base_cost);
-    case Op::kSraiw:
-      set_gpr(d.rd, static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (d.imm & 31)));
-      return Retire(next, base_cost);
-    case Op::kAddw:
-      set_gpr(d.rd, SignExtend((rs1 + rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSubw:
-      set_gpr(d.rd, SignExtend((rs1 - rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSllw:
-      set_gpr(d.rd, SignExtend((rs1 << (rs2 & 31)) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost);
-    case Op::kSrlw:
-      set_gpr(d.rd, SignExtend((rs1 & 0xFFFFFFFF) >> (rs2 & 31), 32));
-      return Retire(next, base_cost);
-    case Op::kSraw:
-      set_gpr(d.rd, static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int32_t>(rs1)) >> (rs2 & 31)));
-      return Retire(next, base_cost);
-
-    case Op::kMul:
-      set_gpr(d.rd, rs1 * rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kMulh: {
-      const __int128 a = static_cast<int64_t>(rs1);
-      const __int128 b = static_cast<int64_t>(rs2);
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kMulhsu: {
-      const __int128 a = static_cast<int64_t>(rs1);
-      const __int128 b = static_cast<__int128>(rs2);
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<unsigned __int128>(a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kMulhu: {
-      const unsigned __int128 a = rs1;
-      const unsigned __int128 b = rs2;
-      set_gpr(d.rd, static_cast<uint64_t>((a * b) >> 64));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDiv: {
-      const int64_t a = static_cast<int64_t>(rs1);
-      const int64_t b = static_cast<int64_t>(rs2);
-      uint64_t q;
-      if (b == 0) {
-        q = ~uint64_t{0};
-      } else if (a == INT64_MIN && b == -1) {
-        q = static_cast<uint64_t>(a);
-      } else {
-        q = static_cast<uint64_t>(a / b);
-      }
-      set_gpr(d.rd, q);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDivu:
-      set_gpr(d.rd, rs2 == 0 ? ~uint64_t{0} : rs1 / rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kRem: {
-      const int64_t a = static_cast<int64_t>(rs1);
-      const int64_t b = static_cast<int64_t>(rs2);
-      uint64_t r;
-      if (b == 0) {
-        r = rs1;
-      } else if (a == INT64_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = static_cast<uint64_t>(a % b);
-      }
-      set_gpr(d.rd, r);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemu:
-      set_gpr(d.rd, rs2 == 0 ? rs1 : rs1 % rs2);
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kMulw:
-      set_gpr(d.rd, SignExtend((rs1 * rs2) & 0xFFFFFFFF, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    case Op::kDivw: {
-      const int32_t a = static_cast<int32_t>(rs1);
-      const int32_t b = static_cast<int32_t>(rs2);
-      int32_t q;
-      if (b == 0) {
-        q = -1;
-      } else if (a == INT32_MIN && b == -1) {
-        q = a;
-      } else {
-        q = a / b;
-      }
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(q)));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kDivuw: {
-      const uint32_t a = static_cast<uint32_t>(rs1);
-      const uint32_t b = static_cast<uint32_t>(rs2);
-      const uint32_t q = b == 0 ? ~uint32_t{0} : a / b;
-      set_gpr(d.rd, SignExtend(q, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemw: {
-      const int32_t a = static_cast<int32_t>(rs1);
-      const int32_t b = static_cast<int32_t>(rs2);
-      int32_t r;
-      if (b == 0) {
-        r = a;
-      } else if (a == INT32_MIN && b == -1) {
-        r = 0;
-      } else {
-        r = a % b;
-      }
-      set_gpr(d.rd, static_cast<uint64_t>(static_cast<int64_t>(r)));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
-    case Op::kRemuw: {
-      const uint32_t a = static_cast<uint32_t>(rs1);
-      const uint32_t b = static_cast<uint32_t>(rs2);
-      const uint32_t r = b == 0 ? a : a % b;
-      set_gpr(d.rd, SignExtend(r, 32));
-      return Retire(next, base_cost + cost_->instr_muldiv);
-    }
 
     case Op::kFence:
       return Retire(next, base_cost);
@@ -1694,10 +1408,11 @@ StepResult Hart::Execute(const DecodedInstr& d) {
 
 StepResult Hart::ExecuteLoadStore(const DecodedInstr& d) {
   const uint64_t vaddr = gpr_[d.rs1] + static_cast<uint64_t>(d.imm);
-  const unsigned size = AccessSizeOf(d.op);
+  const MemAccess access = MemAccessOf(d.op);
+  const unsigned size = access.size;
   const uint64_t cost = cost_->instr_base + cost_->instr_mem;
 
-  if (IsStoreOp(d.op)) {
+  if (access.store) {
     if (!csrs_.config().hw_misaligned && !IsAligned(vaddr, size)) {
       return TakeTrap(CauseValue(ExceptionCause::kStoreAddrMisaligned), vaddr);
     }
@@ -1743,20 +1458,7 @@ StepResult Hart::ExecuteLoadStore(const DecodedInstr& d) {
   if (segment_active_ && !sbuf_.empty()) {
     OverlayLoad(out.paddr, size, &value);
   }
-  switch (d.op) {
-    case Op::kLb:
-      value = SignExtend(value, 8);
-      break;
-    case Op::kLh:
-      value = SignExtend(value, 16);
-      break;
-    case Op::kLw:
-      value = SignExtend(value, 32);
-      break;
-    default:
-      break;  // unsigned loads and ld are already zero-extended
-  }
-  set_gpr(d.rd, value);
+  set_gpr(d.rd, access.Extend(value));
   return Retire(pc_ + 4, cost + out.extra_cycles);
 }
 
@@ -2119,11 +1821,26 @@ bool Hart::LoadState(StateReader& reader) {
   if (reader.ok() && index != index_) {
     reader.Fail("hart index mismatch");
   }
-  for (unsigned i = 0; i < 32; ++i) {
-    gpr_[i] = reader.U64();
+  uint64_t gpr[32];
+  for (uint64_t& value : gpr) {
+    value = reader.U64();
   }
-  pc_ = reader.U64();
-  priv_ = static_cast<PrivMode>(reader.U8());
+  const uint64_t pc = reader.U64();
+  const uint8_t priv = reader.U8();
+  if (reader.ok() && gpr[0] != 0) {
+    reader.Fail("hart x0 is not zero");  // the block tier relies on x0 == 0
+  }
+  if (reader.ok() && priv != static_cast<uint8_t>(PrivMode::kUser) &&
+      priv != static_cast<uint8_t>(PrivMode::kSupervisor) &&
+      priv != static_cast<uint8_t>(PrivMode::kMachine)) {
+    reader.Fail("hart privilege mode is not U, S or M");
+  }
+  if (!reader.ok()) {
+    return false;
+  }
+  std::copy_n(gpr, 32, gpr_);
+  pc_ = pc;
+  priv_ = static_cast<PrivMode>(priv);
   virt_ = reader.Bool();
   waiting_ = reader.Bool();
   const bool has_reservation = reader.Bool();

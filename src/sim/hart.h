@@ -438,6 +438,10 @@ class Hart {
   // mapping plus constant folding of li/auipc + ALU-immediate chains, compare+branch
   // fusion, and cycle-charge pre-summing. Pure translation — no architectural effects.
   void LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc, SuperblockEntry* sb) const;
+  // The cycles an ALU/M op of class `cost` charges (every other op: kBase).
+  uint64_t AluCycles(CostClass cost) const {
+    return cost_->instr_base + (cost == CostClass::kMulDiv ? cost_->instr_muldiv : 0);
+  }
   // Executes a lowered block by direct handler dispatch, retiring up to steps_left
   // instructions or until stop_cycles, a trap, or a slow-path event ends the block or
   // the batch. With `table_out` non-null, performs no execution and only returns the

@@ -54,41 +54,6 @@ bool Finisher::LoadState(StateReader& reader) {
 
 namespace {
 
-// Pairwise-disjointness check for the memory map: silent region aliasing would route
-// accesses to whichever window registered first, an error class better caught at
-// construction with names attached.
-void ValidateMemoryMap(const MachineConfig& config) {
-  struct Region {
-    const char* name;
-    uint64_t base;
-    uint64_t size;
-  };
-  Region regions[6];
-  unsigned count = 0;
-  regions[count++] = {"ram", config.map.ram_base, config.map.ram_size};
-  regions[count++] = {"clint", config.map.clint_base, Clint::kSize};
-  regions[count++] = {"plic", config.map.plic_base, Plic::kSize};
-  regions[count++] = {"uart", config.map.uart_base, Uart::kSize};
-  regions[count++] = {"finisher", config.map.finisher_base, Finisher::kSize};
-  if (config.blockdev.enabled) {
-    regions[count++] = {"blockdev", config.map.blockdev_base, BlockDev::kSize};
-  }
-  for (unsigned i = 0; i < count; ++i) {
-    for (unsigned j = i + 1; j < count; ++j) {
-      const bool overlap = regions[i].base < regions[j].base + regions[j].size &&
-                           regions[j].base < regions[i].base + regions[i].size;
-      if (overlap) {
-        VFM_LOG_ERROR("sim",
-                      "memory map regions overlap: %s [0x%" PRIx64 ", 0x%" PRIx64
-                      ") and %s [0x%" PRIx64 ", 0x%" PRIx64 ")",
-                      regions[i].name, regions[i].base, regions[i].base + regions[i].size,
-                      regions[j].name, regions[j].base, regions[j].base + regions[j].size);
-        VFM_CHECK_MSG(false, "MemoryMap regions overlap");
-      }
-    }
-  }
-}
-
 // Converts the quantum-boundary cycle delta (measured on hart 0's clock) into an
 // absolute stop bound on `hart`'s own clock, saturating on overflow. The delta form
 // matters: hart clocks drift apart (traps charge different costs), so an absolute
@@ -218,6 +183,58 @@ void WriteMachineConfig(StateWriter& writer, const MachineConfig& config) {
   writer.EndSection();
 }
 
+bool ValidateMachineConfig(const MachineConfig& config, std::string* error) {
+  const auto fail = [&](const char* what) {
+    *error = what;
+    return false;
+  };
+  if (config.hart_count == 0) {
+    return fail("a machine needs at least one hart");
+  }
+  if (config.cost.mtime_tick_cycles == 0) {
+    return fail("mtime_tick_cycles must be at least 1");
+  }
+  // The block executor's single clamped budget compare (ExecuteThreaded) relies on
+  // every retired instruction charging at least one cycle.
+  if (config.tuning.decode_cache_entries != 0 && config.tuning.superblock_entries != 0 &&
+      config.cost.instr_base == 0) {
+    return fail("the block tier needs a cost model with instr_base >= 1");
+  }
+  // The regions must be pairwise disjoint: silent aliasing would route accesses to
+  // whichever window registered first.
+  struct Region {
+    const char* name;
+    uint64_t base;
+    uint64_t size;
+  };
+  Region regions[6];
+  unsigned count = 0;
+  regions[count++] = {"ram", config.map.ram_base, config.map.ram_size};
+  regions[count++] = {"clint", config.map.clint_base, Clint::kSize};
+  regions[count++] = {"plic", config.map.plic_base, Plic::kSize};
+  regions[count++] = {"uart", config.map.uart_base, Uart::kSize};
+  regions[count++] = {"finisher", config.map.finisher_base, Finisher::kSize};
+  if (config.blockdev.enabled) {
+    regions[count++] = {"blockdev", config.map.blockdev_base, BlockDev::kSize};
+  }
+  for (unsigned i = 0; i < count; ++i) {
+    for (unsigned j = i + 1; j < count; ++j) {
+      const bool overlap = regions[i].base < regions[j].base + regions[j].size &&
+                           regions[j].base < regions[i].base + regions[i].size;
+      if (overlap) {
+        char text[160];
+        std::snprintf(text, sizeof text,
+                      "memory map regions overlap: %s [0x%" PRIx64 ", 0x%" PRIx64
+                      ") and %s [0x%" PRIx64 ", 0x%" PRIx64 ")",
+                      regions[i].name, regions[i].base, regions[i].base + regions[i].size,
+                      regions[j].name, regions[j].base, regions[j].base + regions[j].size);
+        return fail(text);
+      }
+    }
+  }
+  return true;
+}
+
 bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   MachineConfig c;
   if (reader.BeginSection(StateTag("MCFG")) != kMachineConfigVersion) {
@@ -265,6 +282,10 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   c.tuning.quantum_harts = reader.Bool();
   c.tuning.parallel_harts = reader.Bool();
   reader.EndSection();
+  std::string invalid;
+  if (reader.ok() && !ValidateMachineConfig(c, &invalid)) {
+    reader.Fail("invalid machine config: " + invalid);
+  }
   if (!reader.ok()) {
     return false;
   }
@@ -275,8 +296,8 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
 }
 
 Machine::Machine(const MachineConfig& config) : config_(config) {
-  VFM_CHECK(config_.hart_count >= 1);
-  ValidateMemoryMap(config_);
+  std::string invalid;
+  VFM_CHECK_MSG(ValidateMachineConfig(config_, &invalid), "%s", invalid.c_str());
   bus_.AddRam(config_.map.ram_base, config_.map.ram_size);
 
   clint_ = std::make_unique<Clint>(config_.hart_count);
@@ -1089,6 +1110,9 @@ bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
   StateReader reader(snapshot.state);
   const uint32_t version = reader.BeginSection(StateTag("MACH"));
   CheckConfigFingerprint(reader, config_, "snapshot");
+  if (reader.ok() && !bus_.RamFits(snapshot.ram)) {
+    reader.Fail("snapshot RAM images do not match this machine's RAM regions");
+  }
   uint64_t lifetime_retired = 0;
   uint64_t lifetime_rounds = 0;
   if (version >= 2) {

@@ -108,6 +108,12 @@ void WriteConfigFingerprint(StateWriter& writer, const MachineConfig& config);
 void CheckConfigFingerprint(StateReader& reader, const MachineConfig& config,
                             const char* what);
 
+// The invariants a Machine needs of its config: at least one hart, a nonzero mtime
+// tick, instr_base >= 1 when the block tier is on, and pairwise-disjoint memory map
+// regions. The constructor aborts on a violation; ReadMachineConfig rejects one.
+// On failure `*error` says which invariant broke.
+bool ValidateMachineConfig(const MachineConfig& config, std::string* error);
+
 // Full MachineConfig serialization (fingerprint fields plus cost model and tuning),
 // used by snapshot *files* so tools can reconstruct a Machine from the file alone.
 void WriteMachineConfig(StateWriter& writer, const MachineConfig& config);

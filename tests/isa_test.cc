@@ -42,12 +42,22 @@ TEST(DecodeTest, RTypeRoundTrip) {
       {Op::kAnd, [](Assembler& a) { a.And(a0, a1, a2); }},
       {Op::kAddw, [](Assembler& a) { a.Addw(a0, a1, a2); }},
       {Op::kSubw, [](Assembler& a) { a.Subw(a0, a1, a2); }},
+      {Op::kSllw, [](Assembler& a) { a.Sllw(a0, a1, a2); }},
+      {Op::kSrlw, [](Assembler& a) { a.Srlw(a0, a1, a2); }},
+      {Op::kSraw, [](Assembler& a) { a.Sraw(a0, a1, a2); }},
       {Op::kMul, [](Assembler& a) { a.Mul(a0, a1, a2); }},
+      {Op::kMulh, [](Assembler& a) { a.Mulh(a0, a1, a2); }},
+      {Op::kMulhsu, [](Assembler& a) { a.Mulhsu(a0, a1, a2); }},
       {Op::kMulhu, [](Assembler& a) { a.Mulhu(a0, a1, a2); }},
       {Op::kDiv, [](Assembler& a) { a.Div(a0, a1, a2); }},
       {Op::kDivu, [](Assembler& a) { a.Divu(a0, a1, a2); }},
       {Op::kRem, [](Assembler& a) { a.Rem(a0, a1, a2); }},
       {Op::kRemu, [](Assembler& a) { a.Remu(a0, a1, a2); }},
+      {Op::kMulw, [](Assembler& a) { a.Mulw(a0, a1, a2); }},
+      {Op::kDivw, [](Assembler& a) { a.Divw(a0, a1, a2); }},
+      {Op::kDivuw, [](Assembler& a) { a.Divuw(a0, a1, a2); }},
+      {Op::kRemw, [](Assembler& a) { a.Remw(a0, a1, a2); }},
+      {Op::kRemuw, [](Assembler& a) { a.Remuw(a0, a1, a2); }},
   };
   for (const Case& c : cases) {
     const DecodedInstr d = Decode(Encode1(c.emit));
@@ -181,6 +191,12 @@ TEST(DecodeTest, UTypeAndShift) {
   const DecodedInstr srai = Decode(Encode1([](Assembler& a) { a.Srai(a0, a1, 12); }));
   EXPECT_EQ(srai.op, Op::kSrai);
   EXPECT_EQ(srai.imm, 12);
+  const DecodedInstr srliw = Decode(Encode1([](Assembler& a) { a.Srliw(a0, a1, 31); }));
+  EXPECT_EQ(srliw.op, Op::kSrliw);
+  EXPECT_EQ(srliw.imm, 31);
+  const DecodedInstr sraiw = Decode(Encode1([](Assembler& a) { a.Sraiw(a0, a1, 7); }));
+  EXPECT_EQ(sraiw.op, Op::kSraiw);
+  EXPECT_EQ(sraiw.imm, 7);
 }
 
 TEST(OpPropertiesTest, PrivilegedClassification) {

@@ -5,11 +5,15 @@
 // save/restore.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/asm/assembler.h"
 #include "src/common/state.h"
 #include "src/cosim/lockstep.h"
 #include "src/cosim/program.h"
@@ -699,6 +703,148 @@ TEST(MemoryMapValidationDeathTest, OverlappingRegionsAbortWithClearError) {
   mc.map.ram_size = 1 << 20;
   mc.map.uart_base = mc.map.clint_base + 0x100;  // inside the CLINT window
   EXPECT_DEATH({ Machine machine(mc); }, "overlap");
+}
+
+// ---------------------------------------------------------------------------------
+// Hostile snapshot files: every field that would crash a restore or a replay is
+// rejected with a status instead — by ReadSnapshotFile for the config, by
+// RestoreSnapshot for the state and RAM — and vfm_replay exits 2 on such a file.
+
+class HostileSnapshotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string base = ::testing::TempDir() + "/hostile_snapshot";
+    snap_path_ = base + ".snap";
+    trace_path_ = base + ".trace";
+    MachineConfig mc;
+    mc.map.ram_size = 1 << 20;
+    mc.tuning.decode_cache_entries = 1024;
+    mc.tuning.superblock_entries = 256;
+    Machine machine(mc);
+    Assembler a(mc.map.ram_base);
+    a.Bind("loop");
+    a.Addi(a0, a0, 1);
+    a.J("loop");
+    const Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    machine.RunUntilFinished(1000);
+    Snapshot anchor;
+    machine.SaveSnapshot(anchor);
+    ASSERT_TRUE(WriteSnapshotFile(snap_path_, mc, anchor));
+    ASSERT_TRUE(machine.StartRecording(trace_path_));
+    machine.RunUntilFinished(1000);
+    ASSERT_TRUE(machine.StopRecording());
+    ASSERT_TRUE(ReadSnapshotFile(snap_path_, &config_, &snapshot_));
+  }
+
+  // Writes a snapshot file holding `config` and `snapshot`; returns its path.
+  std::string Write(const std::string& name, const MachineConfig& config,
+                    const Snapshot& snapshot) {
+    const std::string path = ::testing::TempDir() + "/hostile_" + name + ".snap";
+    EXPECT_TRUE(WriteSnapshotFile(path, config, snapshot));
+    return path;
+  }
+
+  // The offset of hart 0's section payload in the machine state stream.
+  size_t HartPayload() const {
+    const uint8_t tag[] = {'H', 'A', 'R', 'T'};
+    const auto at = std::search(snapshot_.state.begin(), snapshot_.state.end(), tag, tag + 4);
+    EXPECT_NE(at, snapshot_.state.end());
+    return static_cast<size_t>(at - snapshot_.state.begin()) + 16;  // tag, version, length
+  }
+
+  // A copy of the snapshot with hart 0's section patched at `offset` into its payload.
+  Snapshot PatchHart(size_t offset, const void* bytes, size_t size) const {
+    Snapshot patched = snapshot_;
+    std::memcpy(patched.state.data() + HartPayload() + offset, bytes, size);
+    return patched;
+  }
+
+  static bool LoadsAndRestores(const std::string& path) {
+    MachineConfig config;
+    Snapshot snapshot;
+    if (!ReadSnapshotFile(path, &config, &snapshot)) {
+      return false;
+    }
+    Machine machine(config);
+    return machine.RestoreSnapshot(snapshot);
+  }
+
+  int Replay(const std::string& snap_path) const {
+    const std::string command = std::string(VFM_REPLAY_BIN) + " --snapshot " + snap_path +
+                                " --trace " + trace_path_ + " > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  void ExpectRejected(const std::string& path) {
+    EXPECT_FALSE(LoadsAndRestores(path));
+    EXPECT_EQ(Replay(path), 2);
+  }
+
+  std::string snap_path_;
+  std::string trace_path_;
+  MachineConfig config_;
+  Snapshot snapshot_;
+};
+
+constexpr size_t kHartX0 = 4;                 // after the u32 hart index
+constexpr size_t kHartPriv = 4 + 32 * 8 + 8;  // after the GPRs and the pc
+
+TEST_F(HostileSnapshotTest, ValidFileRestoresAndReplays) {
+  EXPECT_TRUE(LoadsAndRestores(snap_path_));
+  EXPECT_EQ(Replay(snap_path_), 0);
+  // The unpatched state round-trips through the helpers unchanged.
+  EXPECT_TRUE(LoadsAndRestores(Write("control", config_, PatchHart(kHartX0, "\0", 1))));
+}
+
+TEST_F(HostileSnapshotTest, ZeroHartsRejected) {
+  MachineConfig config = config_;
+  config.hart_count = 0;
+  ExpectRejected(Write("harts", config, snapshot_));
+}
+
+TEST_F(HostileSnapshotTest, OverlappingMapRegionsRejected) {
+  MachineConfig config = config_;
+  config.map.uart_base = config.map.clint_base + 0x100;
+  ExpectRejected(Write("overlap", config, snapshot_));
+}
+
+TEST_F(HostileSnapshotTest, ZeroInstrBaseWithBlockTierRejected) {
+  MachineConfig config = config_;
+  config.cost.instr_base = 0;
+  ExpectRejected(Write("instr_base", config, snapshot_));
+}
+
+TEST_F(HostileSnapshotTest, ZeroMtimeTickRejected) {
+  MachineConfig config = config_;
+  config.cost.mtime_tick_cycles = 0;
+  ExpectRejected(Write("mtime_tick", config, snapshot_));
+}
+
+TEST_F(HostileSnapshotTest, NonzeroX0Rejected) {
+  const uint64_t x0 = 1;
+  ExpectRejected(Write("x0", config_, PatchHart(kHartX0, &x0, sizeof x0)));
+}
+
+TEST_F(HostileSnapshotTest, ReservedPrivModeRejected) {
+  for (const uint8_t priv : {uint8_t{2}, uint8_t{4}, uint8_t{0xFF}}) {
+    SCOPED_TRACE(priv);
+    ExpectRejected(Write("priv", config_, PatchHart(kHartPriv, &priv, 1)));
+  }
+}
+
+TEST_F(HostileSnapshotTest, RamImageCountMismatchRejected) {
+  Snapshot snapshot = snapshot_;
+  snapshot.ram.push_back(snapshot.ram[0]);
+  ExpectRejected(Write("ram_count", config_, snapshot));
+}
+
+TEST_F(HostileSnapshotTest, RamImageSizeMismatchRejected) {
+  Snapshot snapshot = snapshot_;
+  const std::vector<uint8_t> page(4096);
+  snapshot.ram[0] = RamImage::FromBytes(page.data(), page.size());
+  ExpectRejected(Write("ram_size", config_, snapshot));
 }
 
 }  // namespace

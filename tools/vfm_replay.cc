@@ -82,6 +82,11 @@ int ReproMode(const Options& opts) {
   if (!opts.tuning.empty() && !ApplyTuning(opts.tuning, &config)) {
     return 2;
   }
+  std::string invalid;
+  if (!vfm::ValidateMachineConfig(config, &invalid)) {  // the tuning may have broken it
+    std::fprintf(stderr, "vfm_replay: %s\n", invalid.c_str());
+    return 2;
+  }
   std::vector<uint8_t> trace;
   if (!vfm::ReadTraceFile(opts.trace, &trace)) {
     std::fprintf(stderr, "vfm_replay: cannot load trace %s\n", opts.trace.c_str());
