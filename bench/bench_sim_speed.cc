@@ -131,6 +131,43 @@ double MeasureMultiHartMips(unsigned harts, bool quantum, bool parallel) {
   return seconds > 0 ? static_cast<double>(instructions) / seconds / 1e6 : 0.0;
 }
 
+// Memory-traffic workload: the kernel's read-modify-write sweep loop, under Sv39
+// (`paging`) or with a bare satp. Either way its loads and stores go through the
+// software TLB into the host-pointer fast path (DESIGN.md §2d): paged ones through
+// walked entries, bare ones through identity entries.
+struct MemoryLoopRun {
+  double mips = 0;
+  double fastpath_hit_rate = 0;
+};
+
+MemoryLoopRun MeasureMemoryLoop(bool paging) {
+  PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  KernelConfig config;
+  config.base = profile.kernel_base;
+  config.enable_paging = paging;
+  KernelBuilder kb(config);
+  kb.EmitMemoryLoop(1'000'000'000);  // effectively endless
+  kb.EmitFinish(true);
+  System system = BootSystem(profile, DeployMode::kNative, kb.Finish());
+  system.machine->RunUntilFinished(20'000);  // skip boot: steady-state only
+  const Hart& hart = system.machine->hart(0);
+  const uint64_t start_instret = system.machine->total_instret();
+  const uint64_t start_hits = hart.host_fastpath_hits();
+  const uint64_t start_misses = hart.host_fastpath_misses();
+  constexpr uint64_t kMeasured = 100'000'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  system.machine->RunUntilFinished(kMeasured);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  const uint64_t instructions = system.machine->total_instret() - start_instret;
+  const uint64_t hits = hart.host_fastpath_hits() - start_hits;
+  const uint64_t ops = hits + (hart.host_fastpath_misses() - start_misses);
+  MemoryLoopRun run;
+  run.mips = seconds > 0 ? static_cast<double>(instructions) / seconds / 1e6 : 0.0;
+  run.fastpath_hit_rate = ops > 0 ? static_cast<double>(hits) / static_cast<double>(ops) : 0.0;
+  return run;
+}
+
 // Store-next-to-code workload: a loop that read-modify-writes one data word in its
 // own 4 KiB page, outside the 64-byte granules its instructions occupy — the layout
 // of firmware trap frames and of kernel data slots placed right after code. Only a
@@ -225,31 +262,10 @@ void WriteSimSpeedJson() {
   const uint64_t th_instrs = hart.threaded_instrs() - start_th_instrs;
 
   // Memory-traffic phase: the compute loop above is pure ALU and never issues a
-  // load or store, so its host-fastpath counters are 0/0 and the reported rate was
-  // a meaningless 0.0. Measure the fast path on a workload that actually has
-  // memory traffic.
-  PlatformProfile mem_profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
-  KernelConfig mem_config;
-  mem_config.base = mem_profile.kernel_base;
-  mem_config.enable_paging = true;  // the host fast path rides the TLB: Sv39 on
-  KernelBuilder mem_kb(mem_config);
-  mem_kb.EmitMemoryLoop(1'000'000'000);  // effectively endless
-  mem_kb.EmitFinish(true);
-  System mem_system = BootSystem(mem_profile, DeployMode::kNative, mem_kb.Finish());
-  mem_system.machine->RunUntilFinished(20'000);  // skip boot: steady-state only
-  const Hart& mem_hart = mem_system.machine->hart(0);
-  const uint64_t mem_start_instret = mem_system.machine->total_instret();
-  const uint64_t mem_start_fp_hits = mem_hart.host_fastpath_hits();
-  const uint64_t mem_start_fp_misses = mem_hart.host_fastpath_misses();
-  constexpr uint64_t kMemMeasured = 100'000'000;
-  const auto m0 = std::chrono::steady_clock::now();
-  mem_system.machine->RunUntilFinished(kMemMeasured);
-  const auto m1 = std::chrono::steady_clock::now();
-  const double mem_seconds = std::chrono::duration<double>(m1 - m0).count();
-  const uint64_t mem_instructions = mem_system.machine->total_instret() - mem_start_instret;
-  const uint64_t fp_hits_mem = mem_hart.host_fastpath_hits() - mem_start_fp_hits;
-  const uint64_t fp_ops_mem =
-      fp_hits_mem + (mem_hart.host_fastpath_misses() - mem_start_fp_misses);
+  // load or store, so the host fast path is measured on loops that do, with Sv39 on
+  // and with a bare satp.
+  const MemoryLoopRun paged = MeasureMemoryLoop(/*paging=*/true);
+  const MemoryLoopRun bare = MeasureMemoryLoop(/*paging=*/false);
 
   uint64_t store_near_code_invalidations = 0;
   const double store_near_code_mips = MeasureStoreNearCodeMips(&store_near_code_invalidations);
@@ -282,11 +298,10 @@ void WriteSimSpeedJson() {
                          : 0.0);
   // From the memory-traffic phase (the compute loop has no memory operations; its
   // own counters are still emitted as compute_fastpath_ops for reference).
-  json.Add("host_fastpath_hit_rate",
-           fp_ops_mem > 0 ? static_cast<double>(fp_hits_mem) / static_cast<double>(fp_ops_mem)
-                          : 0.0);
-  json.Add("memory_mips",
-           mem_seconds > 0 ? static_cast<double>(mem_instructions) / mem_seconds / 1e6 : 0.0);
+  json.Add("host_fastpath_hit_rate", paged.fastpath_hit_rate);
+  json.Add("memory_mips", paged.mips);
+  json.Add("host_fastpath_hit_rate_bare", bare.fastpath_hit_rate);
+  json.Add("memory_bare_mips", bare.mips);
   json.Add("compute_fastpath_ops", static_cast<double>(fp_ops));
   json.Add("store_near_code_mips", store_near_code_mips);
   json.Add("store_near_code_invalidations", static_cast<double>(store_near_code_invalidations));

@@ -94,10 +94,12 @@ void Monitor::ChargeCsrAccesses(Hart& hart, unsigned count) {
 
 void Monitor::ChargeTlbFlush(Hart& hart) {
   // Everywhere the modeled hardware would flush its TLB (world switches, remote-fence
-  // delivery, policy context switches), the simulator's software TLB is flushed too.
-  // This is belt-and-braces for most call sites — world switches also rebuild the
-  // physical PMP bank, whose generation already invalidates the TLB's stamps — but it
-  // keeps the "charged a flush" and "actually flushed" states in lockstep.
+  // delivery, policy context switches), the simulator's software TLB is flushed too,
+  // which keeps the "charged a flush" and "actually flushed" states in lockstep.
+  // Correctness does not rest on it: TLB entries are keyed on the physical PMP
+  // bank's content id, so an entry never hits under a configuration it was not
+  // filled under. Decoded code and blocks do not depend on the TLB and survive the
+  // flush; a switch back to a configuration they were built under finds them valid.
   hart.FlushTlb();
   machine_->ChargeCycles(hart.index(), machine_->config().cost.tlb_flush);
 }
@@ -370,7 +372,7 @@ bool Monitor::EmulateMprvAccess(Hart& hart, uint64_t cause, uint64_t addr) {
   // configuration at the effective privilege, not against the host bank (whose
   // X-only cover exists precisely to force this trap).
   const VCsrFile& vcsr = hs.vctx.csrs();
-  PmpBank vbank(vcsr.config().pmp_entries);
+  PmpBank& vbank = hs.mprv_pmp;
   for (unsigned i = 0; i < vcsr.config().pmp_entries; ++i) {
     vbank.SetCfg(i, PmpCfg::FromByte(vcsr.pmpcfg_byte(i)));
     vbank.SetAddr(i, vcsr.pmpaddr(i));

@@ -139,8 +139,13 @@ class Monitor : public MmodeOwner {
 
  private:
   struct HartState {
-    explicit HartState(const VhartConfig& config) : vctx(config) {}
+    explicit HartState(const VhartConfig& config)
+        : vctx(config), mprv_pmp(config.pmp_entries) {}
     VirtContext vctx;
+    // The firmware's virtual PMP configuration as a bank, for checking emulated MPRV
+    // accesses. Reused across emulations: the bank interns its configurations, so
+    // while the firmware leaves its PMP alone, reloading it costs no re-decode.
+    PmpBank mprv_pmp;
     bool in_firmware = true;
     uint64_t os_timer_deadline = ~uint64_t{0};
     uint64_t saved_os_mie = 0;

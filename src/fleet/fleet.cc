@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "src/common/check.h"
@@ -286,8 +287,8 @@ void FleetManager::WorkerMain(unsigned index) {
     FleetMachine* fm = FindWork(worker);
     if (fm == nullptr) {
       // Transiently dry: every live machine is currently held by another
-      // worker. Yield instead of spinning hot; the barrier-free design means
-      // this only happens at the tail of a run.
+      // worker. Yield instead of spinning hot; past the start line there is no
+      // barrier, so this only happens at the tail of a run.
       std::this_thread::yield();
       continue;
     }
@@ -323,10 +324,16 @@ FleetStats FleetManager::Run() {
   if (config_.workers == 1) {
     WorkerMain(0);
   } else {
+    // Workers leave one start line together, so a worker whose thread is slow
+    // to spawn does not find every deque already drained by the first one.
+    std::latch start_line(config_.workers);
     std::vector<std::thread> threads;
     threads.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i) {
-      threads.emplace_back([this, i] { WorkerMain(i); });
+      threads.emplace_back([this, i, &start_line] {
+        start_line.arrive_and_wait();
+        WorkerMain(i);
+      });
     }
     for (auto& thread : threads) {
       thread.join();

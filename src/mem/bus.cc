@@ -37,7 +37,7 @@ uint64_t Ram::map_size() const {
   return (size_ + page - 1) & ~(page - 1);
 }
 
-Ram::Ram(uint64_t base, uint64_t size)
+Ram::Ram(uint64_t base, uint64_t size, std::shared_ptr<RamImage> image)
     : base_(base),
       size_(size),
       page_count_((size + (uint64_t{1} << kPageShift) - 1) >> kPageShift) {
@@ -48,6 +48,9 @@ Ram::Ram(uint64_t base, uint64_t size)
   page_marks_ = page_meta_.At<uint8_t>(marks_at);
   code_pages_ = page_meta_.At<CodePage>(code_at);
 #ifdef __linux__
+  if (image != nullptr && image->mappable() && Fits(image.get()) && MapView(std::move(image))) {
+    return;
+  }
   // Preferred backing: an owned memfd mapped shared. Freezing then costs nothing —
   // the fd transfers into the RamImage and this mapping flips to a private view.
   const int fd = ::memfd_create("vfm-ram", MFD_CLOEXEC);
@@ -94,11 +97,7 @@ std::shared_ptr<RamImage> Ram::Freeze() {
     // guarded by ram_generation, and the bus fast path caches it).
     auto image = std::make_shared<RamImage>(owned_fd_, map_size(), std::vector<uint8_t>{});
     owned_fd_ = -1;
-    void* map = ::mmap(data_, map_size(), PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_FIXED, image->fd(), 0);
-    VFM_CHECK_MSG(map == data_, "RAM freeze remap failed");
-    image_ = std::move(image);
-    maybe_dirty_ = false;
+    MapView(std::move(image));
     return image_;
   }
   if (mapped_) {
@@ -106,9 +105,8 @@ std::shared_ptr<RamImage> Ram::Freeze() {
     // so copy the current contents into a fresh image and rebase onto it.
     auto image = RamImage::FromBytes(data_, map_size());
     if (image->mappable()) {
-      void* map = ::mmap(data_, map_size(), PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_FIXED, image->fd(), 0);
-      VFM_CHECK_MSG(map == data_, "RAM freeze remap failed");
+      MapView(std::move(image));
+      return image_;
     }
     image_ = std::move(image);
     maybe_dirty_ = false;
@@ -119,6 +117,26 @@ std::shared_ptr<RamImage> Ram::Freeze() {
   maybe_dirty_ = false;
   return image_;
 }
+
+#ifdef __linux__
+bool Ram::MapView(std::shared_ptr<RamImage> image) {
+  void* map = ::mmap(mapped_ ? data_ : nullptr, map_size(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | (mapped_ ? MAP_FIXED : 0), image->fd(), 0);
+  if (map == MAP_FAILED && !mapped_) {
+    return false;
+  }
+  VFM_CHECK_MSG(!mapped_ || map == data_, "RAM remap failed");
+  data_ = static_cast<uint8_t*>(map);
+  mapped_ = true;
+  if (owned_fd_ >= 0) {
+    ::close(owned_fd_);
+    owned_fd_ = -1;
+  }
+  image_ = std::move(image);
+  maybe_dirty_ = false;
+  return true;
+}
+#endif
 
 bool Ram::Fits(const RamImage* image) const {
   return image != nullptr && image->size() == map_size();
@@ -131,15 +149,7 @@ void Ram::AdoptImage(std::shared_ptr<RamImage> image) {
   }
 #ifdef __linux__
   if (mapped_ && image->mappable()) {
-    void* map = ::mmap(data_, map_size(), PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_FIXED, image->fd(), 0);
-    VFM_CHECK_MSG(map == data_, "RAM adopt remap failed");
-    if (owned_fd_ >= 0) {
-      ::close(owned_fd_);
-      owned_fd_ = -1;
-    }
-    image_ = std::move(image);
-    maybe_dirty_ = false;
+    MapView(std::move(image));
     return;
   }
 #endif
@@ -148,13 +158,13 @@ void Ram::AdoptImage(std::shared_ptr<RamImage> image) {
   maybe_dirty_ = false;
 }
 
-Ram* Bus::AddRam(uint64_t base, uint64_t size) {
+Ram* Bus::AddRam(uint64_t base, uint64_t size, std::shared_ptr<RamImage> image) {
   VFM_CHECK_MSG(size > 0, "RAM region must be non-empty");
   for (const auto& existing : ram_) {
     const bool overlaps = base < existing->base() + existing->size() && existing->base() < base + size;
     VFM_CHECK_MSG(!overlaps, "RAM regions overlap");
   }
-  ram_.push_back(std::make_unique<Ram>(base, size));
+  ram_.push_back(std::make_unique<Ram>(base, size, std::move(image)));
   ++ram_generation_;  // invalidates any cached host page pointers via the TLB stamps
   if (ram_.size() == 1) {
     ram0_base_ = base;

@@ -93,7 +93,11 @@ class Ram {
  public:
   static constexpr uint64_t kPageShift = 12;
 
-  Ram(uint64_t base, uint64_t size);
+  // With a mappable `image` of the region's size, the region starts as a private view
+  // of it, as if AdoptImage(image) had run, without first building a backing of its
+  // own (Machine::Fork). Otherwise, or when mapping fails, it gets a fresh zeroed
+  // backing.
+  Ram(uint64_t base, uint64_t size, std::shared_ptr<RamImage> image = nullptr);
   ~Ram();
   Ram(const Ram&) = delete;
   Ram& operator=(const Ram&) = delete;
@@ -133,6 +137,11 @@ class Ram {
 
  private:
   uint64_t map_size() const;
+  // Makes data_ a private copy-on-write view of the mappable `image`, releasing any
+  // owned backing: in place when the region is already mapped (data() must not move:
+  // harts and the bus fast path hold host pointers into it), else at a fresh
+  // address. Returns false only when a fresh mapping fails.
+  bool MapView(std::shared_ptr<RamImage> image);
 
   uint64_t base_;
   uint64_t size_;
@@ -159,8 +168,9 @@ class Bus {
   // Code granules are 64 bytes: 64 per page, one bit each in CodePage::granules.
   static constexpr unsigned kGranuleShift = 6;
 
-  // Adds a RAM region. Regions must not overlap.
-  Ram* AddRam(uint64_t base, uint64_t size);
+  // Adds a RAM region. Regions must not overlap. `image`, when given, is the
+  // contents the region starts from (see Ram's constructor).
+  Ram* AddRam(uint64_t base, uint64_t size, std::shared_ptr<RamImage> image = nullptr);
 
   // Maps `device` at [base, base+size). The bus does not own the device.
   void AddMmio(uint64_t base, uint64_t size, MmioDevice* device);

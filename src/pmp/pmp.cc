@@ -1,5 +1,7 @@
 #include "src/pmp/pmp.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "src/common/bits.h"
@@ -92,10 +94,10 @@ void PmpBank::WriteCfgReg(unsigned reg_index, uint64_t value) {
     if ((old_byte & 0x80) != 0) {
       continue;  // locked entries ignore cfg writes
     }
-    cfg_[entry] = LegalizePmpCfgByte(old_byte, static_cast<uint8_t>(value >> (8 * i)));
+    const uint8_t new_byte = LegalizePmpCfgByte(old_byte, static_cast<uint8_t>(value >> (8 * i)));
+    changed_ |= new_byte != old_byte;
+    cfg_[entry] = new_byte;
   }
-  cache_valid_ = false;
-  ++generation_;
 }
 
 uint64_t PmpBank::ReadAddrReg(unsigned index) const {
@@ -121,9 +123,7 @@ void PmpBank::WriteAddrReg(unsigned index, uint64_t value) {
       return;
     }
   }
-  addr_[index] = value & kAddrMask;
-  cache_valid_ = false;
-  ++generation_;
+  SetAddr(index, value);
 }
 
 PmpCfg PmpBank::GetCfg(unsigned index) const {
@@ -133,34 +133,72 @@ PmpCfg PmpBank::GetCfg(unsigned index) const {
 
 void PmpBank::SetCfg(unsigned index, PmpCfg cfg) {
   VFM_DCHECK(index < entry_count_);
-  cfg_[index] = cfg.ToByte();
-  cache_valid_ = false;
-  ++generation_;
+  const uint8_t byte = cfg.ToByte();
+  changed_ |= cfg_[index] != byte;
+  cfg_[index] = byte;
 }
 
-void PmpBank::RebuildCache() const {
-  for (unsigned i = 0; i < entry_count_; ++i) {
+void PmpBank::SetAddr(unsigned index, uint64_t value) {
+  value &= kAddrMask;
+  changed_ |= addr_[index] != value;
+  addr_[index] = value;
+}
+
+namespace {
+
+uint64_t NextPmpId() {
+  static std::atomic<uint64_t> next{1};
+  const uint64_t id = next.fetch_add(1, std::memory_order_relaxed);
+  VFM_CHECK_MSG(id < PmpBank::kMaxGeneration, "PMP content ids exhausted");
+  return id;
+}
+
+}  // namespace
+
+void PmpBank::Intern() const {
+  const unsigned n = entry_count_;
+  if (slot_ranges_.empty()) {
+    slot_cfg_.resize(size_t{kInternSlots} * n);
+    slot_addr_.resize(size_t{kInternSlots} * n);
+    slot_ranges_.resize(size_t{kInternSlots} * n);
+  }
+  changed_ = false;
+  for (unsigned s = 0; s < kInternSlots; ++s) {
+    if (slot_id_[s] != 0 && std::equal(cfg_, cfg_ + n, slot_cfg_.data() + s * n) &&
+        std::equal(addr_, addr_ + n, slot_addr_.data() + s * n)) {
+      slot_ = s;
+      id_ = slot_id_[s];
+      return;
+    }
+  }
+  const unsigned s = next_slot_;
+  next_slot_ = (s + 1) % kInternSlots;
+  std::copy_n(cfg_, n, slot_cfg_.data() + s * n);
+  std::copy_n(addr_, n, slot_addr_.data() + s * n);
+  CachedEntry* ranges = slot_ranges_.data() + s * n;
+  for (unsigned i = 0; i < n; ++i) {
     const PmpCfg cfg = PmpCfg::FromByte(cfg_[i]);
     const uint64_t prev = i == 0 ? 0 : addr_[i - 1];
     const std::optional<PmpRange> range = DecodePmpRange(cfg, addr_[i], prev);
-    cache_[i].active = range.has_value();
-    cache_[i].cfg = cfg;
-    if (range.has_value()) {
-      cache_[i].range = *range;
-    }
+    ranges[i].active = range.has_value();
+    ranges[i].cfg = cfg;
+    ranges[i].range = range.value_or(PmpRange{});
   }
-  cache_valid_ = true;
+  slot_ = s;
+  id_ = NextPmpId();
+  slot_id_[s] = id_;
 }
 
 bool PmpBank::Check(uint64_t addr, uint64_t size, AccessType type, PrivMode mode) const {
   if (entry_count_ == 0) {
     return true;  // no PMP implemented: all accesses are permitted (spec 3.7.1)
   }
-  if (!cache_valid_) {
-    RebuildCache();
+  if (changed_) {
+    Intern();
   }
+  const CachedEntry* entries = slot_ranges_.data() + slot_ * entry_count_;
   for (unsigned i = 0; i < entry_count_; ++i) {
-    const CachedEntry& entry = cache_[i];
+    const CachedEntry& entry = entries[i];
     if (!entry.active || !entry.range.Overlaps(addr, size)) {
       continue;
     }
@@ -250,6 +288,8 @@ bool PmpBank::LoadState(StateReader& reader) {
     SetAddr(i, addr[i]);
     SetCfg(i, PmpCfg::FromByte(cfg[i]));
   }
+  std::fill_n(slot_id_, kInternSlots, 0);
+  changed_ = true;
   return true;
 }
 

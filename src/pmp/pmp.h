@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
@@ -95,17 +96,26 @@ class PmpBank {
   PmpCfg GetCfg(unsigned index) const;
   void SetCfg(unsigned index, PmpCfg cfg);
   uint64_t GetAddr(unsigned index) const { return addr_[index]; }
-  void SetAddr(unsigned index, uint64_t value) {
-    addr_[index] = value & kAddrMask;
-    cache_valid_ = false;
-    ++generation_;
-  }
+  void SetAddr(unsigned index, uint64_t value);
 
-  // Monotonic counter bumped on every configuration change. The hart's decoded-
-  // instruction cache keys fetch-permission validity on it, and the software TLB
-  // folds it into its entry stamps — a walk PMP-checks every PTE read, so a cached
-  // translation is only as valid as the bank it was walked under (src/sim/hart.h).
-  uint64_t generation() const { return generation_; }
+  // The identity of the bank's content: its cfg and addr registers. The bank interns
+  // its last kInternSlots distinct configurations, so returning to one of them gives
+  // its old id back; any other configuration gets a fresh id from a process-wide
+  // counter that only grows. An id therefore never names two different contents, in
+  // this bank or any other. The harts key decoded instructions, lowered blocks and
+  // TLB entries on it (src/sim/hart.h), so a world switch that restores the OS's
+  // configuration finds everything filled under it still valid. Ids are never 0 and
+  // stay below kMaxGeneration. Interning is lazy: a write only marks the bank changed,
+  // and the next call here or to Check() looks the content up once, however many
+  // registers the burst rewrote (the monitor's ComputePhysicalPmp rewrites them all).
+  uint64_t generation() const {
+    if (changed_) {
+      Intern();
+    }
+    return id_;
+  }
+  static constexpr uint64_t kMaxGeneration = uint64_t{1} << 56;
+  static constexpr unsigned kInternSlots = 8;
 
   // The access check from the privileged spec: returns true if an access of `size`
   // bytes at `addr` by privilege `mode` is permitted. All bytes must lie within the
@@ -120,30 +130,40 @@ class PmpBank {
 
   std::string Describe() const;
 
-  // Uniform state API (DESIGN.md §2h). Loading goes through SetCfg/SetAddr, so
-  // generation() keeps moving forward — it is a host-side monotonic clock the harts'
-  // cache stamps fold in, never restored backward.
+  // Uniform state API (DESIGN.md §2h). Ids are not state: loading forgets every
+  // interned configuration, so the loaded content gets a fresh id, greater than any
+  // this bank has returned, even when it equals a configuration the bank saw before.
   void SaveState(StateWriter& writer) const;
   bool LoadState(StateReader& reader);
 
  private:
   static constexpr uint64_t kAddrMask = (uint64_t{1} << 54) - 1;  // addr[55:2]
 
-  // Decoded-range cache: rebuilding on modification keeps the per-access check a
-  // simple array scan (the check runs on every simulated memory access).
+  // One entry's decoded range. Decoding once per interned configuration keeps the
+  // per-access check a simple array scan (it runs on every simulated memory access).
   struct CachedEntry {
-    bool active = false;
     PmpRange range;
     PmpCfg cfg;
+    bool active = false;
   };
-  void RebuildCache() const;
+  // Finds the current content among the interned configurations or, failing that,
+  // overwrites the oldest with it under a fresh id and decodes its ranges.
+  void Intern() const;
 
   unsigned entry_count_;
-  uint64_t generation_ = 0;
   uint8_t cfg_[kMaxEntries] = {};
   uint64_t addr_[kMaxEntries] = {};
-  mutable CachedEntry cache_[kMaxEntries];
-  mutable bool cache_valid_ = false;
+  // The intern table. Slot s holds a configuration's registers and decoded ranges in
+  // elements [s * entry_count_, (s + 1) * entry_count_) of the three vectors, which
+  // are allocated by the first Intern(); a slot with id 0 is empty.
+  mutable bool changed_ = true;  // registers written since the last Intern()
+  mutable uint64_t id_ = 0;      // valid when !changed_
+  mutable unsigned slot_ = 0;    // the slot holding the registers, when !changed_
+  mutable unsigned next_slot_ = 0;  // the next slot a new configuration overwrites
+  mutable uint64_t slot_id_[kInternSlots] = {};
+  mutable std::vector<uint8_t> slot_cfg_;
+  mutable std::vector<uint64_t> slot_addr_;
+  mutable std::vector<CachedEntry> slot_ranges_;
 };
 
 }  // namespace vfm

@@ -58,10 +58,7 @@ void Hart::EnsureCaches() {
   // and the hart commits host memory only for the slots its guest touches.
   ZeroedLayout layout;
   const size_t icache_at = layout.Add<FetchEntry>(pending_icache_entries_);
-  size_t tlb_at[3];
-  for (size_t& at : tlb_at) {
-    at = layout.Add<TlbEntry>(pending_tlb_entries_);
-  }
+  const size_t tlb_at = layout.Add<TlbEntry>(3 * pending_tlb_entries_);
   const size_t sblocks_at = layout.Add<SuperblockEntry>(sb_entries);
   const size_t op_pool_at = layout.Add<ThreadedOp>(op_pool_size_);
   const size_t mem_pool_at = layout.Add<MemInstr>(mem_pool_size_);
@@ -74,9 +71,7 @@ void Hart::EnsureCaches() {
     icache_mask_ = pending_icache_entries_ - 1;
   }
   if (pending_tlb_entries_ != 0) {
-    for (unsigned i = 0; i < 3; ++i) {
-      tlb_[i] = cache_memory_.At<TlbEntry>(tlb_at[i]);
-    }
+    tlb_ = cache_memory_.At<TlbEntry>(tlb_at);
     tlb_mask_ = pending_tlb_entries_ - 1;
   }
   if (sb_entries != 0) {
@@ -90,25 +85,25 @@ void Hart::EnsureCaches() {
   }
 }
 
-uint64_t Hart::cache_stamp() const {
-  return bus_->pt_generation() + csrs_.pmp().generation() + fence_gen_;
-}
+uint64_t Hart::cache_stamp() const { return bus_->pt_generation() + fence_gen_; }
 
 uint64_t Hart::tlb_stamp() const {
   // ram_generation() is folded in for the host-pointer fast path: a RAM remap must
   // invalidate every cached host_page pointer before it can dangle or go stale.
-  return bus_->pt_generation() + csrs_.pmp().generation() + tlb_gen_ + bus_->ram_generation();
+  return bus_->pt_generation() + tlb_gen_ + bus_->ram_generation();
 }
 
-uint8_t Hart::TlbCtx(PrivMode priv, bool sum, bool mxr, AccessType type) {
-  uint8_t ctx = static_cast<uint8_t>(priv);
-  if (sum && type != AccessType::kFetch) {
-    ctx |= 1 << 2;
+uint64_t Hart::TlbCtx(const TranslateParams& params, uint64_t pmp_id, AccessType type) {
+  uint8_t ctx = static_cast<uint8_t>(params.priv);
+  if (!TranslatesIdentity(params)) {
+    if (params.sum && type != AccessType::kFetch) {
+      ctx |= 1 << 2;
+    }
+    if (params.mxr && type == AccessType::kLoad) {
+      ctx |= 1 << 3;
+    }
   }
-  if (mxr && type == AccessType::kLoad) {
-    ctx |= 1 << 3;
-  }
-  return ctx;
+  return CtxKey(pmp_id, ctx);
 }
 
 void Hart::FlushTlb() {
@@ -124,8 +119,8 @@ void Hart::FlushTlbPage(uint64_t vaddr) {
     return;
   }
   const uint64_t vpage = vaddr >> 12;
-  for (TlbEntry* array : tlb_) {
-    TlbEntry& entry = array[vpage & tlb_mask_];
+  for (unsigned type = 0; type < 3; ++type) {
+    TlbEntry& entry = tlb_[3 * (vpage & tlb_mask_) + type];
     if (entry.vpage == vpage) {
       entry.vpage = ~uint64_t{0};
     }
@@ -151,26 +146,22 @@ bool Hart::DataVirt() const {
   return virt_;
 }
 
-Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
-                                        const TranslateParams& params, uint64_t vaddr,
-                                        unsigned size, AccessType type) {
+Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, const TranslateParams& params,
+                                        uint64_t vaddr, unsigned size, AccessType type) {
   AccessOutcome out;
-  // The TLB engages only where TranslateSv39 would actually walk: Sv39 mode at S/U
-  // effective privilege. Bare-mode and M-mode accesses are identity-mapped already.
-  const bool walked =
-      ExtractBits(params.satp, SatpBits::kModeHi, SatpBits::kModeLo) == SatpBits::kModeSv39 &&
-      params.priv != PrivMode::kMachine;
-  const bool engaged = cacheable && tlb_mask_ != 0 && walked;
+  const bool engaged = tlb_mask_ != 0;
   const uint64_t vpage = vaddr >> 12;
   TlbEntry* slot = nullptr;
+  const uint64_t key_satp = TlbSatp(params);
+  uint64_t key_ctx = 0;
   if (engaged) {
-    slot = &tlb_[static_cast<unsigned>(type)][vpage & tlb_mask_];
-    // A hit replays a previous successful walk for this access type: the satp value
-    // and context byte prove the walk inputs match, and the stamp proves no store
-    // touched the page tables it read (and no PMP write or explicit flush happened).
-    // Entries are filled only post-A/D-update, so a hit never writes memory.
-    if (slot->vpage == vpage && slot->satp == params.satp &&
-        slot->ctx == TlbCtx(params.priv, params.sum, params.mxr, type) &&
+    slot = &tlb_[3 * (vpage & tlb_mask_) + static_cast<unsigned>(type)];
+    key_ctx = TlbCtx(params, pmp.generation(), type);
+    // A hit replays a previous successful translation for this access type: the satp
+    // and context keys prove the inputs (and the PMP configuration) match, and the
+    // stamp proves no store touched the page tables a walk read and no explicit flush
+    // happened. Entries are filled only post-A/D-update, so a hit never writes memory.
+    if (slot->vpage == vpage && slot->satp == key_satp && slot->ctx == key_ctx &&
         slot->stamp == tlb_stamp()) {
       ++tlb_hits_;
       const uint64_t paddr = slot->paddr_page | (vaddr & MaskLow(12));
@@ -179,7 +170,7 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
       // proved the whole frame uniformly permitted it is skipped — any contained
       // access matches the same PMP entry with the same verdict (a spanning
       // misaligned access reaches past the frame, so it still scans). The per-PTE
-      // walk checks are covered by the PMP generation folded into the stamp.
+      // walk checks are covered by the PMP content id in the context key.
       if ((!slot->pmp_whole_page || (vaddr & MaskLow(12)) + size > 4096) &&
           !pmp.Check(paddr, size, type, params.priv)) {
         out.cause = AccessFaultFor(type);
@@ -231,13 +222,13 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
     if (trackable) {
       slot->vpage = vpage;
       slot->paddr_page = tr.paddr & ~MaskLow(12);
-      slot->satp = params.satp;
+      slot->satp = key_satp;
       slot->extra_cycles = out.extra_cycles;
       slot->pte_count = static_cast<uint8_t>(tr.pte_count);
       for (unsigned i = 0; i < tr.pte_count; ++i) {
         slot->pte_addrs[i] = tr.pte_addrs[i];
       }
-      slot->ctx = TlbCtx(params.priv, params.sum, params.mxr, type);
+      slot->ctx = key_ctx;
       slot->pmp_whole_page = pmp.Check(slot->paddr_page, 4096, type, params.priv);
       // Host-pointer fast path: only whole-page-permitted plain-RAM frames qualify,
       // so a superblock access through host_page needs no per-access PMP or routing.
@@ -260,15 +251,19 @@ Hart::AccessOutcome Hart::TranslateWith(const PmpBank& pmp, bool cacheable,
   return out;
 }
 
-Hart::AccessOutcome Hart::Translate(uint64_t vaddr, unsigned size, AccessType type,
-                                    PrivMode priv, bool use_vsatp) {
+TranslateParams Hart::ParamsFor(PrivMode priv, bool use_vsatp) const {
   TranslateParams params;
   params.satp = use_vsatp ? csrs_.vsatp() : csrs_.satp();
   params.priv = priv;
   const uint64_t status = use_vsatp ? csrs_.Get(kCsrVsstatus) : csrs_.mstatus();
   params.sum = Bit(status, MstatusBits::kSum) != 0;
   params.mxr = Bit(status, MstatusBits::kMxr) != 0;
-  return TranslateWith(csrs_.pmp(), /*cacheable=*/true, params, vaddr, size, type);
+  return params;
+}
+
+Hart::AccessOutcome Hart::Translate(uint64_t vaddr, unsigned size, AccessType type,
+                                    PrivMode priv, bool use_vsatp) {
+  return TranslateWith(csrs_.pmp(), ParamsFor(priv, use_vsatp), vaddr, size, type);
 }
 
 Hart::MemResult Hart::ReadMemory(uint64_t vaddr, unsigned size, uint64_t* value) {
@@ -324,12 +319,7 @@ Hart::MemResult Hart::ReadMemoryAs(PrivMode priv, uint64_t satp_override, uint64
   const uint64_t mstatus = csrs_.mstatus();
   params.sum = Bit(mstatus, MstatusBits::kSum) != 0;
   params.mxr = Bit(mstatus, MstatusBits::kMxr) != 0;
-  // With a PMP override (the monitor's MPRV emulation passes the firmware's virtual
-  // bank), the TLB is bypassed entirely: its stamp tracks only the physical bank's
-  // generation, so entries can neither validate against nor be filled under a foreign
-  // bank. Overrideless calls share entries with the interpreter path.
-  const AccessOutcome out = TranslateWith(pmp, /*cacheable=*/pmp_override == nullptr, params,
-                                          vaddr, size, AccessType::kLoad);
+  const AccessOutcome out = TranslateWith(pmp, params, vaddr, size, AccessType::kLoad);
   if (!out.ok) {
     result.ok = false;
     result.cause = out.cause;
@@ -354,8 +344,7 @@ Hart::MemResult Hart::WriteMemoryAs(PrivMode priv, uint64_t satp_override, uint6
   const uint64_t mstatus = csrs_.mstatus();
   params.sum = Bit(mstatus, MstatusBits::kSum) != 0;
   params.mxr = Bit(mstatus, MstatusBits::kMxr) != 0;
-  const AccessOutcome out = TranslateWith(pmp, /*cacheable=*/pmp_override == nullptr, params,
-                                          vaddr, size, AccessType::kStore);
+  const AccessOutcome out = TranslateWith(pmp, params, vaddr, size, AccessType::kStore);
   if (!out.ok) {
     result.ok = false;
     result.cause = out.cause;
@@ -563,16 +552,15 @@ StepResult Hart::Tick() {
 
   // Decoded-instruction cache lookup. A hit replays a previous fetch of this pc: the
   // page's code generation proves no store touched the instruction bytes, the stamp
-  // that none touched the page tables that translated them (and no PMP write or
-  // fence.i happened), and the satp/priv/virt compare proves the translation context
-  // is the one the entry was filled under. Fetch translation depends on nothing
-  // else: mstatus.SUM/MXR only affect data accesses, and MPRV never applies to
-  // fetches.
+  // that none touched the page tables that translated them (and no fence.i
+  // happened), and the satp and ctx compares prove the translation context (priv,
+  // virt, PMP content) is the one the entry was filled under. Fetch translation
+  // depends on nothing else: mstatus.SUM/MXR only affect data accesses, and MPRV
+  // never applies to fetches.
   if (icache_mask_ != 0) {
     const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
     const FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
-    if (FetchHit(entry, pc_, cache_stamp(), effective_satp, static_cast<uint8_t>(priv_),
-                 virt_)) {
+    if (FetchHit(entry, pc_, cache_stamp(), effective_satp, FetchCtx())) {
       ++icache_hits_;
       StepResult result = Execute(entry.instr);
       if (result.aborted) {
@@ -624,10 +612,9 @@ StepResult Hart::Tick() {
       entry.tag = pc_;
       entry.stamp = cache_stamp();
       entry.satp = virt_ ? csrs_.vsatp() : csrs_.satp();
+      entry.ctx = FetchCtx();
       entry.extra_cycles = fetch.extra_cycles;
       entry.instr = instr;
-      entry.priv = static_cast<uint8_t>(priv_);
-      entry.virt = virt_;
     }
   }
 
@@ -661,15 +648,14 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
       const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
       // The code-generation load comes last: only a built slot (stamp != 0) has one.
       bool valid = sb.tag == pc_ && sb.stamp == cache_stamp() && sb.satp == effective_satp &&
-                   sb.priv == static_cast<uint8_t>(priv_) && sb.virt == virt_ &&
-                   *sb.code_gen == sb.code_gen_at_fill;
+                   sb.ctx == FetchCtx() && *sb.code_gen == sb.code_gen_at_fill;
       if (valid && sb.open_end) {
         // The block was cut short by a cold decode-cache slot. If the continuation
         // has since been decoded, rebuild to extend. A rebuild can only commit a
         // non-empty block, so the entry stays valid either way.
         const uint64_t cont_pc = sb.tag + uint64_t{4} * sb.count;
         if (FetchHit(icache_[(cont_pc >> 2) & icache_mask_], cont_pc, sb.stamp, sb.satp,
-                     sb.priv, sb.virt)) {
+                     sb.ctx)) {
           FillSuperblock(&sb);
         }
       }
@@ -716,7 +702,7 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
 bool Hart::FillSuperblock(SuperblockEntry* sb) {
   const uint64_t stamp = cache_stamp();
   const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-  const uint8_t priv = static_cast<uint8_t>(priv_);
+  const uint64_t ctx = FetchCtx();
   // Capture straight-line decode-cache entries until a block-ending condition. Every
   // member must pass the full FetchEntry hit condition under one stamp — that single
   // check at build time, plus the stamp compare at dispatch, is what proves the whole
@@ -725,7 +711,7 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   // share its context, so they share its code generation: the block stamps that one.
   const auto member = [&](uint64_t pc) -> const FetchEntry* {
     const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
-    return FetchHit(entry, pc, stamp, effective_satp, priv, virt_) ? &entry : nullptr;
+    return FetchHit(entry, pc, stamp, effective_satp, ctx) ? &entry : nullptr;
   };
   // A failed (re)build must not damage the existing entry, so the first member is
   // vetted before anything is written.
@@ -800,8 +786,7 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   sb->satp = effective_satp;
   sb->count = static_cast<uint16_t>(count);
   sb->open_end = open_end;
-  sb->priv = priv;
-  sb->virt = virt_;
+  sb->ctx = ctx;
   sb->total_count = count;
   sb->total_cycles = 0;
   for (unsigned i = 0; i < sb->op_count; ++i) {
@@ -936,25 +921,15 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
 
 void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
   // Mirrors Translate(): effective privilege/address space (honoring MPRV), the satp
-  // the walk would use, and the SUM/MXR context bytes. All of these are fixed for the
-  // life of one block dispatch: they only change via CSR ops, traps, or xRETs, which
-  // are barriers (or end the block).
+  // the walk would use, the SUM/MXR bits, and the PMP bank, reduced to the TLB keys.
+  // All of these are fixed for the life of one block dispatch: they only change via
+  // CSR ops, traps, or xRETs, which are barriers (or end the block).
   ctx->built = true;
-  const PrivMode priv = DataPriv();
-  const bool use_vsatp = DataVirt();
-  const uint64_t satp = use_vsatp ? csrs_.vsatp() : csrs_.satp();
-  ctx->engaged =
-      tlb_mask_ != 0 && priv != PrivMode::kMachine &&
-      ExtractBits(satp, SatpBits::kModeHi, SatpBits::kModeLo) == SatpBits::kModeSv39;
-  if (!ctx->engaged) {
-    return;
-  }
-  ctx->satp = satp;
-  const uint64_t status = use_vsatp ? csrs_.Get(kCsrVsstatus) : csrs_.mstatus();
-  const bool sum = Bit(status, MstatusBits::kSum) != 0;
-  const bool mxr = Bit(status, MstatusBits::kMxr) != 0;
-  ctx->load_ctx = TlbCtx(priv, sum, mxr, AccessType::kLoad);
-  ctx->store_ctx = TlbCtx(priv, sum, mxr, AccessType::kStore);
+  const TranslateParams params = ParamsFor(DataPriv(), DataVirt());
+  const uint64_t pmp_id = csrs_.pmp().generation();
+  ctx->satp = TlbSatp(params);
+  ctx->load_ctx = TlbCtx(params, pmp_id, AccessType::kLoad);
+  ctx->store_ctx = TlbCtx(params, pmp_id, AccessType::kStore);
 }
 
 // The block executor (DESIGN.md §2f). Dispatch is a computed goto on GCC and Clang —
@@ -998,8 +973,11 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
   ++sb_blocks_;
   const uint64_t mmio_start = bus_->mmio_ops();
   FastMemCtx fm;
-  TlbEntry* const tlb_ld = tlb_[static_cast<unsigned>(AccessType::kLoad)];
-  TlbEntry* const tlb_st = tlb_[static_cast<unsigned>(AccessType::kStore)];
+  // Each access type's entries, at a stride of 3 (see tlb_).
+  TlbEntry* const tlb_ld =
+      tlb_ != nullptr ? tlb_ + static_cast<unsigned>(AccessType::kLoad) : nullptr;
+  TlbEntry* const tlb_st =
+      tlb_ != nullptr ? tlb_ + static_cast<unsigned>(AccessType::kStore) : nullptr;
   uint64_t* const g = gpr_;
   const ThreadedOp* op = sb->ops;
   // Architectural counters and the pc live in locals while inside the block; they
@@ -1079,7 +1057,7 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
 // granule holds cached code (an aligned store never spans granules), so
 // invalidations happen exactly as per-instruction execution would cause them, and
 // segment mode sends every store there too, to be buffered (DESIGN.md §2i). Any
-// miss — unaligned, not engaged, cold/foreign/stale slot, non-RAM frame, store
+// miss — unaligned, no TLB, cold/foreign/stale slot, non-RAM frame, store
 // into tracked bytes — takes the shared interpreter slow path below.
 #define VFM_TLOAD(size_, extract_)                                            \
   do {                                                                        \
@@ -1087,10 +1065,10 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
       BuildFastMemCtx(&fm);                                                   \
     }                                                                         \
     const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);            \
-    if (!fm.engaged || !IsAligned(va, size_)) {                               \
+    if (tlb_ld == nullptr || !IsAligned(va, size_)) {                         \
       goto slow_mem;                                                          \
     }                                                                         \
-    TlbEntry& slot = tlb_ld[(va >> 12) & tlb_mask_];                          \
+    TlbEntry& slot = tlb_ld[3 * ((va >> 12) & tlb_mask_)];                    \
     if (slot.vpage != va >> 12 || slot.satp != fm.satp ||                     \
         slot.ctx != fm.load_ctx || slot.stamp != tstamp ||                    \
         slot.host_page == nullptr) {                                          \
@@ -1115,10 +1093,10 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
       BuildFastMemCtx(&fm);                                                   \
     }                                                                         \
     const uint64_t va = g[op->b] + static_cast<uint64_t>(op->imm);            \
-    if (!fm.engaged || !IsAligned(va, size_)) {                               \
+    if (tlb_st == nullptr || !IsAligned(va, size_)) {                         \
       goto slow_mem;                                                          \
     }                                                                         \
-    TlbEntry& slot = tlb_st[(va >> 12) & tlb_mask_];                          \
+    TlbEntry& slot = tlb_st[3 * ((va >> 12) & tlb_mask_)];                    \
     const uint64_t offset = va & MaskLow(12);                                 \
     if (segment_active_ || slot.vpage != va >> 12 || slot.satp != fm.satp ||  \
         slot.ctx != fm.store_ctx || slot.stamp != tstamp ||                   \

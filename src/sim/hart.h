@@ -145,10 +145,10 @@ class Hart {
   uint64_t decode_cache_hits() const { return icache_hits_; }
   uint64_t decode_cache_misses() const { return icache_misses_; }
 
-  // Software-TLB counters (DESIGN.md §2d). A hit means the Sv39 walk was skipped (its
-  // cycle cost is still charged); misses count only lookups the TLB could have served
-  // (paged translations by the engaged lookup path), so hits/(hits+misses) is a true
-  // hit rate. Flushes count explicit invalidations (sfence.vma, hfences, monitor
+  // Software-TLB counters (DESIGN.md §2d). A hit means the translation and its PMP
+  // proofs were reused (a skipped walk's cycle cost is still charged); misses count
+  // lookups made with the TLB enabled (paged or identity), so hits/(hits+misses) is a
+  // true hit rate. Flushes count explicit invalidations (sfence.vma, hfences, monitor
   // world switches) — not generation bumps from PT-page stores.
   uint64_t tlb_hits() const { return tlb_hits_; }
   uint64_t tlb_misses() const { return tlb_misses_; }
@@ -175,8 +175,9 @@ class Hart {
   uint64_t threaded_deopts() const { return threaded_deopts_; }
 
   // Host-pointer memory fast path counters: hits are loads/stores completed directly
-  // against cached host RAM pointers inside a superblock; misses are in-block memory
-  // ops that fell back to the full Translate+Bus path.
+  // against cached host RAM pointers inside a superblock, at any privilege and
+  // translation mode; misses are in-block memory ops that fell back to the full
+  // Translate+Bus path.
   uint64_t host_fastpath_hits() const { return fastmem_hits_; }
   uint64_t host_fastpath_misses() const { return fastmem_misses_; }
 
@@ -215,26 +216,29 @@ class Hart {
 
   // One slot of the decoded-instruction cache: a pre-decoded instruction plus
   // everything needed to prove the original fetch is still valid. An entry hits only
-  // when the tag (virtual pc), translation context (satp/priv/virt), generation
-  // stamp, and its page's code generation all match (FetchHit); `extra_cycles`
-  // replays the page-walk cost of the original fetch so cached execution charges
-  // exactly the cycles the slow path would. Slots live in a zero-filled mapping and
-  // are never constructed: an all-zero slot is empty, because cache_stamp() >= 1.
+  // when the tag (virtual pc), translation context (satp, and FetchCtx(): the PMP
+  // content id, priv and virt), generation stamp, and its page's code generation all
+  // match (FetchHit); `extra_cycles` replays the page-walk cost of the original fetch
+  // so cached execution charges exactly the cycles the slow path would. Slots live in
+  // a zero-filled mapping and are never constructed: an all-zero slot is empty,
+  // because cache_stamp() >= 1.
   struct FetchEntry {
     uint64_t tag;                // virtual pc
     uint64_t stamp;              // cache_stamp() at fill time
     uint64_t satp;               // effective satp (vsatp when virtualized) at fill
+    uint64_t ctx;                // FetchCtx() at fill
     uint64_t extra_cycles;       // page-walk cycles of the original fetch
     const uint64_t* code_gen;    // the instruction page's code generation (Bus::MarkCode)
     uint64_t code_gen_at_fill;   // *code_gen when filled
     DecodedInstr instr;
-    uint8_t priv;
-    bool virt;
   };
 
   // One slot of the software TLB: a cached page translation plus everything needed to
   // prove the original walk is still valid. An entry hits only when the tag (virtual
-  // page), satp value, translation-context byte, and generation stamp all match.
+  // page), satp key, context key, and generation stamp all match (TlbSatp, TlbCtx).
+  // Identity translations (bare satp, M-mode, or MPRV resolving to either) are
+  // cached too, as zero-cycle entries with no PTEs, so M-mode and bare-mode accesses
+  // reach the host fast path like paged ones.
   // Entries are filled only after a successful walk for this slot's access type, so
   // the walk has already set the PTE's A bit (and D for stores) — a hit never needs
   // to write memory, and a store through a page cached only in the load array
@@ -244,17 +248,17 @@ class Hart {
   struct TlbEntry {
     uint64_t vpage;          // vaddr >> 12
     uint64_t paddr_page;     // translated page base (low 12 bits clear)
-    uint64_t satp;           // satp value the walk used (part of the key)
+    uint64_t satp;           // TlbSatp() of the translation (part of the key)
+    uint64_t ctx;            // TlbCtx() at fill time (PMP content id, priv/SUM/MXR)
     uint64_t stamp;          // tlb_stamp() at fill time
     uint64_t extra_cycles;   // page-walk cycles of the original walk
     uint64_t pte_addrs[3];   // PTE addresses the walk read (replayed to callers)
     uint8_t pte_count;
-    uint8_t ctx;             // TlbCtx() at fill time (priv/SUM/MXR)
     // True when the fill-time PMP check proved the whole 4 KiB frame is permitted
     // for this access type and privilege (one entry contains the frame). Hits may
     // then skip the per-access PMP scan: any access inside the frame matches the
-    // same entry with the same verdict, and the stamp folds in the bank's
-    // generation, so any PMP write invalidates the entry before it can lie.
+    // same entry with the same verdict, and the context key carries the bank's
+    // content id, so the entry cannot hit under any other PMP configuration.
     bool pmp_whole_page;
     // Host-pointer fast path (DESIGN.md §2f): when non-null, the frame is plain RAM
     // and block memory ops may access `host_page` directly, provided
@@ -319,12 +323,13 @@ class Hart {
   // under one validity stamp and lowered into threaded ops as it is built. The
   // key/stamp discipline is exactly FetchEntry's — the block is valid iff every
   // member FetchEntry would still hit — which holds because all members were verified
-  // valid at build time under the same (stamp, satp, priv, virt, code generation) and
-  // any event that could invalidate one bumps a counter folded into cache_stamp() or
-  // the page's code generation. A block never crosses a page, so that one generation
-  // covers every member. Ends at the first kBarrier op (excluded), at a kBranch
-  // (included: the terminal op), at a 4 KiB page boundary (the next pc may translate
-  // differently), or at kMaxSuperblockLen. `open_end` marks a block cut short by a
+  // valid at build time under the same (stamp, satp, ctx, code generation) and any
+  // event that could invalidate one bumps a counter folded into cache_stamp() or the
+  // page's code generation, or changes the PMP content id in the ctx key. A block
+  // never crosses a page, so that one generation covers every member. Ends at the
+  // first kBarrier op (excluded), at a kBranch (included: the terminal op), at a
+  // 4 KiB page boundary (the next pc may translate differently), or at
+  // kMaxSuperblockLen. `open_end` marks a block cut short by a
   // cold decode-cache slot; a later dispatch retries the build to extend it once the
   // continuation has been decoded. Slots start all-zero and unconstructed (stamp 0:
   // empty); the ops and mem instrs live in the hart's pools.
@@ -332,6 +337,7 @@ class Hart {
     uint64_t tag;               // starting virtual pc
     uint64_t stamp;             // cache_stamp() at build time
     uint64_t satp;              // effective satp at build time
+    uint64_t ctx;               // FetchCtx() at build time
     const uint64_t* code_gen;   // the block's page's code generation
     uint64_t code_gen_at_fill;  // *code_gen when built
     ThreadedOp* ops;            // op_count ops in op_pool_
@@ -348,8 +354,6 @@ class Hart {
     uint16_t op_capacity;   // pool storage this slot owns, reused by rebuilds
     uint16_t mem_capacity;
     bool open_end;
-    uint8_t priv;
-    bool virt;
     bool has_mem;  // skip the tlb_stamp() sample for pure-ALU blocks
   };
 
@@ -358,10 +362,9 @@ class Hart {
   // both of which end the block.
   struct FastMemCtx {
     bool built = false;
-    bool engaged = false;  // paged translation active for data accesses
-    uint64_t satp = 0;
-    uint8_t load_ctx = 0;
-    uint8_t store_ctx = 0;
+    uint64_t satp = 0;      // TlbSatp()
+    uint64_t load_ctx = 0;  // TlbCtx() per access type
+    uint64_t store_ctx = 0;
   };
 
   // Outcome of one block dispatch, consumed by RunBatch.
@@ -374,34 +377,55 @@ class Hart {
     StepResult last;  // result of the final tick, RunBatch-compatible
   };
 
-  // Sum of the three global monotonic invalidation counters of decoded code: stores
-  // into PT-marked pages (bus; a fetch walk's PTE pages are PT-marked), physical PMP
-  // reconfiguration, and local fence.i. Each counter only grows, so the sum only
-  // grows and a single equality compare validates all three. Stores into the code
-  // itself are page-local: entries also compare their page's code generation.
+  // Sum of the two global monotonic invalidation counters of decoded code: stores
+  // into PT-marked pages (bus; a fetch walk's PTE pages are PT-marked) and local
+  // fence.i. Each counter only grows, so the sum only grows and a single equality
+  // compare validates both. Stores into the code itself are page-local: entries also
+  // compare their page's code generation. The PMP configuration is not a counter
+  // here: its content id is part of the ctx key (CtxKey).
   uint64_t cache_stamp() const;
+
+  // Packs the physical PMP bank's content id (PmpBank::generation()) above a context
+  // byte. The id is not monotonic — a world switch that restores a configuration gets
+  // its old id back — so it cannot join the sums in cache_stamp()/tlb_stamp(), where
+  // two moves in opposite directions could cancel; it is compared as a key instead.
+  // Sharing a word with the byte keeps that compare free, and distinct (id, byte)
+  // pairs never share a word: the id is below 2^56 (PmpBank::kMaxGeneration), so
+  // the shift loses none of its bits.
+  static uint64_t CtxKey(uint64_t pmp_id, uint8_t byte) { return pmp_id << 8 | byte; }
+  // The decode-cache and block context key: PMP content id, virt and priv.
+  uint64_t FetchCtx() const {
+    return CtxKey(csrs_.pmp().generation(),
+                  static_cast<uint8_t>((virt_ ? 4 : 0) | static_cast<uint8_t>(priv_)));
+  }
 
   // The full decode-cache hit condition for `entry` at `pc` under the given stamp and
   // translation context. The code-generation load comes last: it is only reached
   // once the stamp has proven the slot filled (an untouched slot has stamp 0).
   static bool FetchHit(const FetchEntry& entry, uint64_t pc, uint64_t stamp, uint64_t satp,
-                       uint8_t priv, bool virt) {
-    return entry.tag == pc && entry.stamp == stamp && entry.satp == satp &&
-           entry.priv == priv && entry.virt == virt &&
+                       uint64_t ctx) {
+    return entry.tag == pc && entry.stamp == stamp && entry.satp == satp && entry.ctx == ctx &&
            *entry.code_gen == entry.code_gen_at_fill;
   }
 
-  // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), physical PMP
-  // reconfiguration (a walk's per-PTE PMP checks depend on the bank), explicit full
+  // TLB analogue of cache_stamp(): stores into PT-marked pages (bus), explicit full
   // flushes, and RAM-region changes (which would dangle cached host_page pointers).
-  // satp writes and privilege/SUM/MXR changes need no counter — they are part of
-  // each entry's key.
+  // satp writes, privilege/SUM/MXR changes and PMP reconfiguration need no counter —
+  // they are part of each entry's key.
   uint64_t tlb_stamp() const;
 
-  // Packs the walk-relevant translation context into an entry key byte. SUM only
-  // affects data accesses and MXR only loads, mirroring TranslateSv39's permission
-  // logic, so irrelevant bits are masked out to avoid needless misses.
-  static uint8_t TlbCtx(PrivMode priv, bool sum, bool mxr, AccessType type);
+  // The TLB key of a translation. Identity translations (TranslatesIdentity) use
+  // satp 0, which no Sv39 root can equal (its mode field is non-zero), and only the
+  // privilege in the context byte: SUM and MXR change nothing without a walk. Paged
+  // translations use the satp value, and their context byte adds SUM for data
+  // accesses and MXR for loads, mirroring TranslateSv39's permission logic, so
+  // irrelevant bits are masked out to avoid needless misses. The context key also
+  // carries the PMP content id (CtxKey): fill-time PMP verdicts and the walk's
+  // per-PTE checks depend on the bank.
+  static uint64_t TlbSatp(const TranslateParams& params) {
+    return TranslatesIdentity(params) ? 0 : params.satp;
+  }
+  static uint64_t TlbCtx(const TranslateParams& params, uint64_t pmp_id, AccessType type);
 
   // Effective privilege for data accesses (honors mstatus.MPRV).
   PrivMode DataPriv() const;
@@ -409,13 +433,16 @@ class Hart {
 
   // Translation core shared by the interpreter path (Translate) and the monitor's
   // explicit-context path (ReadMemoryAs/WriteMemoryAs). Consults the software TLB
-  // before walking when `cacheable` (entries are never filled from, nor served to,
-  // non-cacheable lookups — the monitor's MPRV emulation passes a stack-local PMP
-  // bank the stamp machinery cannot watch).
-  AccessOutcome TranslateWith(const PmpBank& pmp, bool cacheable, const TranslateParams& params,
+  // before walking. Entries are keyed on the content id of the bank `pmp` checked
+  // against, so one filled under the firmware's virtual bank (the monitor's MPRV
+  // emulation) never serves a lookup under the physical bank, nor the reverse.
+  AccessOutcome TranslateWith(const PmpBank& pmp, const TranslateParams& params,
                               uint64_t vaddr, unsigned size, AccessType type);
   AccessOutcome Translate(uint64_t vaddr, unsigned size, AccessType type, PrivMode priv,
                           bool use_vsatp);
+  // The translation inputs of an access at `priv`, through vsatp/vsstatus when
+  // `use_vsatp`, else satp/mstatus.
+  TranslateParams ParamsFor(PrivMode priv, bool use_vsatp) const;
   StepResult Execute(const DecodedInstr& instr);
   StepResult ExecuteCsrOp(const DecodedInstr& instr);
   StepResult ExecuteMret(const DecodedInstr& instr);
@@ -512,10 +539,13 @@ class Hart {
   uint64_t icache_hits_ = 0;
   uint64_t icache_misses_ = 0;
 
-  // Software TLB: one direct-mapped array per access type (fetch/load/store), indexed
-  // by virtual page number. Separate arrays keep the A/D fill invariant local to each
-  // access type. Null when disabled; tlb_mask_ == 0 doubles as the "disabled" flag.
-  TlbEntry* tlb_[3] = {};
+  // Software TLB: direct-mapped by virtual page number, one entry per access type
+  // (fetch/load/store) in each slot: the entry for `type` of slot i is
+  // tlb_[3 * i + type]. Separate entries keep the A/D fill invariant local to each
+  // access type; keeping a slot's three side by side means one committed host page
+  // of the lazily mapped array serves every access type of the guest pages it
+  // covers. Null when disabled; tlb_mask_ == 0 doubles as the "disabled" flag.
+  TlbEntry* tlb_ = nullptr;
   uint64_t tlb_mask_ = 0;
   uint64_t tlb_gen_ = 1;  // bumped by FlushTlb; starts at 1 so tlb_stamp() >= 1
   uint64_t tlb_hits_ = 0;

@@ -295,10 +295,13 @@ bool ReadMachineConfig(StateReader& reader, MachineConfig* config) {
   return true;
 }
 
-Machine::Machine(const MachineConfig& config) : config_(config) {
+Machine::Machine(const MachineConfig& config) : Machine(config, nullptr) {}
+
+Machine::Machine(const MachineConfig& config, std::shared_ptr<RamImage> ram)
+    : config_(config) {
   std::string invalid;
   VFM_CHECK_MSG(ValidateMachineConfig(config_, &invalid), "%s", invalid.c_str());
-  bus_.AddRam(config_.map.ram_base, config_.map.ram_size);
+  bus_.AddRam(config_.map.ram_base, config_.map.ram_size, std::move(ram));
 
   clint_ = std::make_unique<Clint>(config_.hart_count);
   bus_.AddMmio(config_.map.clint_base, Clint::kSize, clint_.get());
@@ -1146,7 +1149,7 @@ bool Machine::RestoreSnapshot(const Snapshot& snapshot) {
 std::unique_ptr<Machine> Machine::Fork() {
   Snapshot snapshot;
   SaveSnapshot(snapshot);
-  auto child = std::make_unique<Machine>(config_);
+  std::unique_ptr<Machine> child(new Machine(config_, snapshot.ram.front()));
   const bool restored = child->RestoreSnapshot(snapshot);
   VFM_CHECK_MSG(restored, "Machine::Fork: restore of own snapshot failed");
   return child;

@@ -261,7 +261,9 @@ class Machine {
   bool RestoreSnapshot(const Snapshot& snapshot);
   // SaveSnapshot + a fresh Machine + RestoreSnapshot: a copy-on-write clone of this
   // machine. The child shares RAM pages with the parent (and its snapshot) until
-  // either side writes. The child has no M-mode owner or trap observer installed.
+  // either side writes; its RAM is built as a view of the snapshot's images from the
+  // start, so the restore has no backing of its own to replace. The child has no
+  // M-mode owner or trap observer installed.
   std::unique_ptr<Machine> Fork();
 
   // -- Deterministic record/replay (DESIGN.md §2j). ---------------------------------
@@ -325,6 +327,9 @@ class Machine {
   }
 
  private:
+  // Fork's constructor: RAM starts from the image `ram` when it is non-null.
+  Machine(const MachineConfig& config, std::shared_ptr<RamImage> ram);
+
   void RefreshInterruptLines();
 
   // Bodies of the public run entry points. The public wrappers bracket them with

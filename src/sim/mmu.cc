@@ -45,8 +45,7 @@ TranslateResult TranslateSv39(Bus* bus, const PmpBank& pmp, const TranslateParam
   TranslateResult result;
   result.fault = PageFaultFor(type);
 
-  const uint64_t mode = ExtractBits(params.satp, SatpBits::kModeHi, SatpBits::kModeLo);
-  if (mode == SatpBits::kModeBare || params.priv == PrivMode::kMachine) {
+  if (TranslatesIdentity(params)) {
     result.ok = true;
     result.paddr = vaddr;
     return result;

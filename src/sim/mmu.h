@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "src/common/bits.h"
 #include "src/isa/priv.h"
 #include "src/mem/bus.h"
 #include "src/pmp/pmp.h"
@@ -32,6 +33,14 @@ struct TranslateParams {
   bool sum = false;                       // mstatus.SUM
   bool mxr = false;                       // mstatus.MXR
 };
+
+// True when translation is the identity: bare satp, or M-mode effective privilege.
+// TranslateSv39 then returns the address unchanged with no walk.
+inline bool TranslatesIdentity(const TranslateParams& params) {
+  return ExtractBits(params.satp, SatpBits::kModeHi, SatpBits::kModeLo) ==
+             SatpBits::kModeBare ||
+         params.priv == PrivMode::kMachine;
+}
 
 struct TranslateResult {
   bool ok = false;

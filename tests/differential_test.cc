@@ -10,12 +10,14 @@
 
 #include "src/common/bits.h"
 #include "src/common/rng.h"
+#include "src/common/state.h"
 #include "src/isa/disasm.h"
 #include "src/isa/sbi.h"
 #include "src/kernel/kernel.h"
 #include "src/platform/platform.h"
 #include "src/refmodel/refmodel.h"
 #include "src/sim/machine.h"
+#include "src/workloads/workloads.h"
 
 namespace vfm {
 namespace {
@@ -217,6 +219,86 @@ TEST(WorldSwitchPropertyTest, RoundTripPreservesSupervisorState) {
     EXPECT_EQ(system.ReadResult(KernelSlots::kScratch), sscratch);
     EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + 1), sepc);
     EXPECT_EQ(system.ReadResult(KernelSlots::kScratch + 2), stvec_base);
+  }
+}
+
+// ---- Monitored runs with the host caches on and off. -----------------------------
+//
+// The decode cache, TLB and block tier are keyed on the physical PMP bank's content,
+// which the monitor rewrites on every world switch, and they cache identity
+// translations for the deprivileged firmware. They must stay invisible: the
+// memcached-latency guest, which takes every offloaded trap cause, must end in the
+// same hart state, cycles, monitor counters and console output with them on and off.
+
+struct MonitoredRun {
+  std::vector<uint8_t> hart_state;     // Hart::SaveState
+  std::vector<uint8_t> monitor_state;  // Monitor::SaveState
+  MonitorStats stats;
+  std::string uart;
+  uint64_t cycles = 0;
+  uint64_t instret = 0;
+  uint64_t requests = 0;
+  uint64_t check = 0;
+};
+
+MonitoredRun RunMemcachedLatency(DeployMode mode, bool host_caches) {
+  PlatformProfile platform = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+  if (!host_caches) {
+    platform.machine.tuning.decode_cache_entries = 0;
+    platform.machine.tuning.tlb_entries = 0;
+    platform.machine.tuning.superblock_entries = 0;
+  }
+  WorkloadProfile profile = MemcachedLatencyProfile();
+  profile.requests = 30;
+  profile.misaligned_per_request = 1;  // every offloaded cause in the mix
+  profile.rfences_per_request = 1;
+  System system = BootSystem(platform, mode, BuildWorkloadKernel(platform, profile));
+  EXPECT_TRUE(system.machine->RunUntilFinished(200'000'000));
+  MonitoredRun run;
+  const Hart& hart = system.machine->hart(0);
+  StateWriter hart_writer;
+  hart.SaveState(hart_writer);
+  run.hart_state = hart_writer.Take();
+  StateWriter monitor_writer;
+  system.monitor->SaveState(monitor_writer);
+  run.monitor_state = monitor_writer.Take();
+  run.stats = system.monitor->stats();
+  run.uart = system.machine->uart().output();
+  run.cycles = hart.cycles();
+  run.instret = hart.instret();
+  run.requests = system.ReadResult(KernelSlots::kScratch);
+  run.check = system.ReadResult(KernelSlots::kScratch + 1);
+  return run;
+}
+
+TEST(MonitoredCachesTest, CachesOnAndOffAgree) {
+  for (DeployMode mode : {DeployMode::kMiralis, DeployMode::kMiralisNoOffload}) {
+    SCOPED_TRACE(DeployModeName(mode));
+    const MonitoredRun cached = RunMemcachedLatency(mode, true);
+    const MonitoredRun reference = RunMemcachedLatency(mode, false);
+    EXPECT_EQ(cached.requests, 30u);
+    EXPECT_GT(cached.stats.os_traps, 30u);
+    EXPECT_EQ(cached.requests, reference.requests);
+    EXPECT_EQ(cached.check, reference.check);
+    EXPECT_EQ(cached.cycles, reference.cycles);
+    EXPECT_EQ(cached.instret, reference.instret);
+    EXPECT_EQ(cached.uart, reference.uart);
+    EXPECT_TRUE(cached.hart_state == reference.hart_state);
+    EXPECT_TRUE(cached.monitor_state == reference.monitor_state);
+    const MonitorStats& a = cached.stats;
+    const MonitorStats& b = reference.stats;
+    EXPECT_EQ(a.os_traps, b.os_traps);
+    EXPECT_EQ(a.firmware_traps, b.firmware_traps);
+    EXPECT_EQ(a.emulated_instrs, b.emulated_instrs);
+    EXPECT_EQ(a.world_switches, b.world_switches);
+    EXPECT_EQ(a.injected_interrupts, b.injected_interrupts);
+    EXPECT_EQ(a.mmio_emulations, b.mmio_emulations);
+    EXPECT_EQ(a.mprv_emulations, b.mprv_emulations);
+    EXPECT_EQ(a.fastpath_hits, b.fastpath_hits);
+    EXPECT_EQ(a.policy_denials, b.policy_denials);
+    for (unsigned i = 0; i < static_cast<unsigned>(OsTrapCause::kCount); ++i) {
+      EXPECT_EQ(a.os_traps_by_cause[i], b.os_traps_by_cause[i]) << "cause " << i;
+    }
   }
 }
 

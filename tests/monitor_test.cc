@@ -157,6 +157,42 @@ TEST(MonitorTest, NoOffloadReinjectsEverything) {
   EXPECT_GE(stats.world_switches, 20u);
 }
 
+TEST(MonitorTest, WorldSwitchRoundTripsKeepCachedCode) {
+  // Each non-offloaded time read is a world-switch round trip, and each switch
+  // rewrites the physical PMP bank. Returning to the OS restores the configuration
+  // the OS's code was decoded and lowered under, and the firmware world's
+  // configuration recurs too, so a loop of such reads stops re-decoding and
+  // rebuilding after its first iterations.
+  struct Counts {
+    uint64_t world_switches;
+    uint64_t decode_misses;
+    uint64_t blocks_built;
+  };
+  const auto run = [](uint64_t iterations) {
+    PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
+    System system =
+        BootSystem(profile, DeployMode::kMiralisNoOffload,
+                   KernelWith(profile, [iterations](KernelBuilder& kb) {
+                     Assembler& a = kb.assembler();
+                     a.Li(s7, iterations);
+                     a.Bind("time_loop");
+                     kb.EmitTimeRead();
+                     a.Addi(s7, s7, -1);
+                     a.Bnez(s7, "time_loop");
+                   }));
+    EXPECT_TRUE(system.machine->RunUntilFinished(kBudget));
+    const Hart& hart = system.machine->hart(0);
+    return Counts{system.monitor->stats().world_switches, hart.decode_cache_misses(),
+                  hart.threaded_promotions()};
+  };
+  const Counts short_run = run(20);
+  const Counts long_run = run(220);
+  const uint64_t extra_switches = long_run.world_switches - short_run.world_switches;
+  EXPECT_GE(extra_switches, 200u);
+  EXPECT_LT(long_run.decode_misses - short_run.decode_misses, extra_switches / 10);
+  EXPECT_LT(long_run.blocks_built - short_run.blocks_built, extra_switches / 10);
+}
+
 TEST(MonitorTest, TimerInterruptInjectionIntoFirmware) {
   // With no offload, timer delivery requires injecting a virtual M-timer interrupt
   // into the firmware, which then raises STIP for the OS.

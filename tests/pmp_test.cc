@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/state.h"
 #include "src/pmp/pmp.h"
 
 namespace vfm {
@@ -185,6 +186,98 @@ TEST_F(PmpBankTest, DescribeListsEntries) {
   const std::string description = bank_.Describe();
   EXPECT_NE(description.find("NAPOT"), std::string::npos);
   EXPECT_NE(description.find("LR-X"), std::string::npos);
+}
+
+// -- Content ids (PmpBank::generation()). --------------------------------------------
+
+TEST_F(PmpBankTest, GenerationIsTheContentsId) {
+  InstallNapot(0, 0x8000'0000, 0x1000, true, true, false);
+  const uint64_t id_a = bank_.generation();
+  EXPECT_NE(id_a, 0u);
+  // Rewriting the same registers is not a new configuration.
+  InstallNapot(0, 0x8000'0000, 0x1000, true, true, false);
+  EXPECT_EQ(bank_.generation(), id_a);
+  bank_.WriteCfgReg(0, bank_.ReadCfgReg(0));
+  EXPECT_EQ(bank_.generation(), id_a);
+  // A new configuration gets a fresh, larger id; returning to A gets A's back.
+  InstallNapot(0, 0x8000'0000, 0x2000, true, true, false);
+  const uint64_t id_b = bank_.generation();
+  EXPECT_GT(id_b, id_a);
+  InstallNapot(0, 0x8000'0000, 0x1000, true, true, false);
+  EXPECT_EQ(bank_.generation(), id_a);
+  InstallNapot(0, 0x8000'0000, 0x2000, true, true, false);
+  EXPECT_EQ(bank_.generation(), id_b);
+  // Ids are process-wide: another bank never reuses one, even for equal content.
+  PmpBank other(8);
+  other.SetCfg(0, bank_.GetCfg(0));
+  other.SetAddr(0, bank_.GetAddr(0));
+  EXPECT_GT(other.generation(), id_b);
+}
+
+TEST_F(PmpBankTest, EvictedConfigurationGetsAFreshId) {
+  InstallNapot(0, 0x8000'0000, 0x1000, true, false, false);
+  const uint64_t id_a = bank_.generation();
+  uint64_t newest = id_a;
+  for (unsigned i = 1; i <= PmpBank::kInternSlots; ++i) {
+    InstallNapot(0, 0x8000'0000 + i * 0x1000, 0x1000, true, false, false);
+    EXPECT_GT(bank_.generation(), newest);
+    newest = bank_.generation();
+  }
+  InstallNapot(0, 0x8000'0000, 0x1000, true, false, false);
+  EXPECT_GT(bank_.generation(), newest);
+  EXPECT_TRUE(bank_.Check(0x8000'0000, 8, AccessType::kLoad, PrivMode::kSupervisor));
+  EXPECT_FALSE(bank_.Check(0x8000'1000, 8, AccessType::kLoad, PrivMode::kSupervisor));
+}
+
+TEST_F(PmpBankTest, GenerationGrowsAcrossLoadState) {
+  InstallNapot(0, 0x8000'0000, 0x1000, true, true, true);
+  const uint64_t id_a = bank_.generation();
+  StateWriter writer;
+  bank_.SaveState(writer);
+  InstallNapot(0, 0x8000'0000, 0x2000, true, true, true);
+  const uint64_t id_b = bank_.generation();
+  // Loading A's registers back does not resurrect A's id: loading forgets the
+  // interned configurations, so no id names the content from before the load.
+  StateReader reader(writer.bytes());
+  ASSERT_TRUE(bank_.LoadState(reader));
+  EXPECT_GT(bank_.generation(), id_b);
+  EXPECT_NE(bank_.generation(), id_a);
+  EXPECT_TRUE(bank_.Check(0x8000'0ff8, 8, AccessType::kStore, PrivMode::kUser));
+  EXPECT_FALSE(bank_.Check(0x8000'1000, 8, AccessType::kStore, PrivMode::kUser));
+}
+
+// Property: the interned decoded ranges agree with a freshly decoded bank while the
+// bank cycles through more configurations than it interns, so slots are reused,
+// re-found and evicted.
+TEST(PmpPropertyTest, InternedRangesAgreeAcrossRoundTrips) {
+  Rng rng(0x1D5);
+  constexpr unsigned kConfigs = PmpBank::kInternSlots + 4;
+  uint64_t cfg_regs[kConfigs];
+  uint64_t addrs[kConfigs][8];
+  for (unsigned c = 0; c < kConfigs; ++c) {
+    cfg_regs[c] = rng.NextAdversarial();
+    for (uint64_t& addr : addrs[c]) {
+      addr = rng.NextAdversarial();
+    }
+  }
+  PmpBank bank(8);
+  for (int iter = 0; iter < 2'000; ++iter) {
+    const unsigned c = static_cast<unsigned>(rng.NextBelow(kConfigs));
+    PmpBank fresh(8);
+    for (PmpBank* target : {&bank, &fresh}) {
+      for (unsigned i = 0; i < 8; ++i) {
+        target->SetCfg(i, PmpCfg::FromByte(static_cast<uint8_t>(cfg_regs[c] >> (8 * i))));
+        target->SetAddr(i, addrs[c][i]);
+      }
+    }
+    for (int probe = 0; probe < 8; ++probe) {
+      const uint64_t addr = rng.Next() & MaskLow(34);
+      const unsigned size = 1u << rng.NextBelow(4);
+      const AccessType type = static_cast<AccessType>(rng.NextBelow(3));
+      const PrivMode mode = rng.Chance(1, 2) ? PrivMode::kMachine : PrivMode::kSupervisor;
+      EXPECT_EQ(bank.Check(addr, size, type, mode), fresh.Check(addr, size, type, mode));
+    }
+  }
 }
 
 // Property: the decoded-range cache always agrees with a freshly decoded check,

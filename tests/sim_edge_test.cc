@@ -355,11 +355,12 @@ TEST(SimEdgeTest, WriteAfterReadHitSetsDirtyBit) {
   EXPECT_EQ(stored, 0x77u);
 }
 
-TEST(SimEdgeTest, MprvEmulationWithPmpOverrideBypassesTlb) {
+TEST(SimEdgeTest, MprvEmulationWithPmpOverrideMissesPhysicalBankEntries) {
   // The monitor's MPRV emulation passes the firmware's virtual PMP bank. Such
   // accesses must not be served from entries the OS filled under the physical bank:
   // here the override bank denies everything, so the access must fault even though
-  // the OS has VA 0x3000 hot in the TLB.
+  // the OS has VA 0x3000 hot in the TLB. Entries carry the checked bank's content id,
+  // so the lookup is made and misses.
   PagedHarness h;
   h.hart().set_gpr(5, 0x3000);  // t0
   h.Put(0, 0x0002B383);         // ld t2, 0(t0) — warms the load TLB
@@ -372,12 +373,28 @@ TEST(SimEdgeTest, MprvEmulationWithPmpOverrideBypassesTlb) {
       h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value, &deny_all);
   EXPECT_FALSE(denied.ok);
   EXPECT_EQ(denied.cause, ExceptionCause::kLoadAccessFault);
-  EXPECT_EQ(h.hart().tlb_hits(), hits);      // not served from the OS entry
-  EXPECT_EQ(h.hart().tlb_misses(), misses);  // not even counted as a lookup
+  EXPECT_EQ(h.hart().tlb_hits(), hits);          // not served from the OS entry
+  EXPECT_EQ(h.hart().tlb_misses(), misses + 1);  // a lookup that missed
   // The same access without an override is served by the TLB.
   const Hart::MemResult ok =
       h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value);
   EXPECT_TRUE(ok.ok);
+  EXPECT_EQ(h.hart().tlb_hits(), hits + 1);
+
+  // An entry filled under a permissive override bank replaces the OS entry in its
+  // slot, and serves neither a lookup under the physical bank nor one under the
+  // deny-all bank; each re-walks and gets its own bank's verdict.
+  PmpBank allow_all(8);
+  allow_all.SetCfg(0, PmpCfg::FromByte(0x1F));
+  allow_all.SetAddr(0, ~uint64_t{0} >> 10);
+  ASSERT_TRUE(
+      h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value, &allow_all).ok);
+  EXPECT_EQ(h.hart().tlb_misses(), misses + 2);
+  ASSERT_TRUE(h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value).ok);
+  EXPECT_EQ(h.hart().tlb_misses(), misses + 3);
+  EXPECT_FALSE(
+      h.hart().ReadMemoryAs(PrivMode::kSupervisor, h.satp(), 0x3000, 8, &value, &deny_all).ok);
+  EXPECT_EQ(h.hart().tlb_misses(), misses + 4);
   EXPECT_EQ(h.hart().tlb_hits(), hits + 1);
 }
 

@@ -672,8 +672,8 @@ TEST_F(SuperblockTest, StoreToExecPageInvalidatesBlock) {
 
 TEST_F(SuperblockTest, PmpRewriteInvalidatesBlock) {
   WarmBlock();
-  // The PMP generation is folded into the block stamp exactly as into the decode
-  // cache's: any reconfiguration forces a revalidating rebuild.
+  // The PMP content id is part of the block key exactly as of the decode cache's:
+  // a configuration the block was not built under forces a revalidating rebuild.
   hart_->csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
   hart_->csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
   RunPass();
@@ -1176,6 +1176,314 @@ TEST(IdleFastForwardTest, WakesOnExactCycleOfPerInstructionLoop) {
   const auto stepped = run(false);
   EXPECT_TRUE(std::get<0>(fast_forwarded));
   EXPECT_EQ(fast_forwarded, stepped);
+}
+
+// -- PMP content ids and identity TLB entries (DESIGN.md §2b, §2d). -----------------
+// Decoded code, blocks and TLB entries are keyed on the PMP bank's content id, so a
+// round trip through another configuration (a monitor world switch) leaves them
+// valid; identity translations (M-mode, bare satp) are TLB-cached and so reach the
+// in-block host fast path.
+
+// Entry 0 grants RWX over all memory; entry 1, at lower priority and so never
+// consulted for an access, sits at `variant`. Distinct variants are distinct
+// configurations that permit exactly the same accesses.
+void InstallPmpVariant(Hart& hart, uint64_t variant) {
+  PmpBank& pmp = hart.csrs().pmp();
+  pmp.SetCfg(0, PmpCfg::FromByte(0x1F));  // NAPOT RWX
+  pmp.SetAddr(0, ~uint64_t{0} >> 10);
+  pmp.SetCfg(1, PmpCfg::FromByte(0x18));  // NAPOT, no permissions
+  pmp.SetAddr(1, variant);
+}
+
+TEST_F(SuperblockTest, PmpRoundTripKeepsDecodesAndBlocks) {
+  InstallPmpVariant(*hart_, 0);
+  WarmBlock();
+  const uint64_t id_a = hart_->csrs().pmp().generation();
+  // Configuration B runs other code (other cache slots, other code granules), as
+  // the firmware world does between two OS stretches.
+  InstallPmpVariant(*hart_, 1);
+  EXPECT_NE(hart_->csrs().pmp().generation(), id_a);
+  LoadStraightLine(kRam + 0x100);
+  RunPass(kRam + 0x100);
+  RunPass(kRam + 0x100);
+  // Back to A: the same content gets the same id, and everything cached under it
+  // hits again with no re-decode and no rebuild.
+  InstallPmpVariant(*hart_, 0);
+  EXPECT_EQ(hart_->csrs().pmp().generation(), id_a);
+  const uint64_t hits = hart_->superblock_hits();
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  const uint64_t promotions = hart_->threaded_promotions();
+  hart_->set_gpr(t2, 0);
+  RunPass();
+  EXPECT_EQ(hart_->superblock_hits(), hits + 1);
+  EXPECT_EQ(hart_->threaded_promotions(), promotions);
+  EXPECT_EQ(hart_->gpr(t2), 3u);
+  hart_->set_pc(kRam);
+  hart_->Tick();  // the per-instruction path hits the decode cache too
+  EXPECT_EQ(hart_->decode_cache_misses(), decode_misses);
+}
+
+TEST_F(SuperblockTest, NewPmpConfigurationInvalidatesDecodesAndBlocks) {
+  InstallPmpVariant(*hart_, 0);
+  WarmBlock();
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  InstallPmpVariant(*hart_, 1);
+  hart_->set_gpr(t2, 0);
+  RunPass();  // no stale dispatch: per-instruction refill under the new id
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->decode_cache_misses(), decode_misses + 3);
+  EXPECT_EQ(hart_->gpr(t2), 3u);
+}
+
+TEST_F(SuperblockTest, EvictedPmpConfigurationGetsNewIdAndStaleEntriesMiss) {
+  InstallPmpVariant(*hart_, 0);
+  WarmBlock();
+  const uint64_t id_a = hart_->csrs().pmp().generation();
+  uint64_t newest = id_a;
+  // kInternSlots new configurations push A out of the intern table (ids are taken
+  // lazily, so each one is observed before the next is installed).
+  for (uint64_t variant = 1; variant <= PmpBank::kInternSlots; ++variant) {
+    InstallPmpVariant(*hart_, variant);
+    const uint64_t id = hart_->csrs().pmp().generation();
+    EXPECT_GT(id, newest);
+    newest = id;
+  }
+  InstallPmpVariant(*hart_, 0);
+  EXPECT_GT(hart_->csrs().pmp().generation(), newest);  // A is new again
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  hart_->set_gpr(t2, 0);
+  RunPass();  // entries filled under A's old id must not hit
+  EXPECT_EQ(hart_->superblock_hits(), 1u);
+  EXPECT_EQ(hart_->decode_cache_misses(), decode_misses + 3);
+  EXPECT_EQ(hart_->gpr(t2), 3u);
+}
+
+// Host caches off: the reference every cached run must match.
+SimTuning NoHostCaches() {
+  SimTuning tuning;
+  tuning.decode_cache_entries = 0;
+  tuning.tlb_entries = 0;
+  tuning.superblock_entries = 0;
+  return tuning;
+}
+
+// A load/store loop over one data page at privilege `priv` with a bare satp, run with
+// `tuning`. Returns the architectural outcome and the host fast-path counters.
+struct IdentityLoopRun {
+  std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t> arch;
+  uint64_t fast_hits = 0;
+  uint64_t fast_misses = 0;
+};
+
+IdentityLoopRun RunIdentityLoop(PrivMode priv, const SimTuning& tuning) {
+  MachineConfig config;
+  config.tuning = tuning;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  InstallPmpVariant(hart, 0);
+  hart.set_priv(priv);
+  Assembler a(kRam);
+  a.Li(t0, kRam + 0x4000);
+  a.Li(s2, 0);
+  a.Li(s3, 200);
+  a.Bind("loop");
+  a.Ld(t2, t0, 0);
+  a.Add(t2, t2, s2);
+  a.Sd(t2, t0, 8);
+  a.Lw(a4, t0, 8);
+  a.Sd(a4, t0, 0);
+  a.Addi(s2, s2, 1);
+  a.Blt(s2, s3, "loop");
+  a.Wfi();
+  Image image = std::move(a.Finish()).value();
+  machine.LoadImage(image.base, image.bytes);
+  hart.set_pc(image.entry);
+  machine.RunUntilFinished(5000);  // parks in WFI; ends by budget
+  IdentityLoopRun run;
+  run.arch = std::make_tuple(hart.cycles(), hart.instret(), hart.pc(), hart.gpr(a4),
+                             hart.gpr(s2));
+  run.fast_hits = hart.host_fastpath_hits();
+  run.fast_misses = hart.host_fastpath_misses();
+  return run;
+}
+
+TEST(IdentityFastPathTest, MachineAndBareSupervisorAccessesHitTheFastPath) {
+  for (PrivMode priv : {PrivMode::kMachine, PrivMode::kSupervisor}) {
+    SCOPED_TRACE(priv == PrivMode::kMachine ? "M-mode" : "bare S-mode");
+    const IdentityLoopRun cached = RunIdentityLoop(priv, SimTuning{});
+    const IdentityLoopRun reference = RunIdentityLoop(priv, NoHostCaches());
+    EXPECT_EQ(std::get<4>(cached.arch), 200u);
+    EXPECT_EQ(std::get<3>(cached.arch), 199u * 200u / 2);
+    EXPECT_EQ(cached.arch, reference.arch);
+    // Four memory ops per iteration; only the first touch of each TLB slot misses.
+    EXPECT_GE(cached.fast_hits, 4u * 190u);
+    EXPECT_LE(cached.fast_misses, 8u);
+    EXPECT_EQ(reference.fast_hits, 0u);
+  }
+}
+
+TEST(IdentityFastPathTest, StoreIntoCodeGranuleStillInvalidates) {
+  // The patching store is a block memory op whose TLB slot holds a host pointer to
+  // the code page: the fast path must still route it through the bus so the
+  // patched instruction takes effect, in M-mode and in bare S-mode alike.
+  const auto run = [](PrivMode priv, const SimTuning& tuning, uint64_t* invalidations,
+                      uint64_t* fast_hits) {
+    MachineConfig config;
+    config.tuning = tuning;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    InstallPmpVariant(hart, 0);
+    hart.set_priv(priv);
+    Assembler a(kRam);
+    a.Li(s2, 0);
+    a.Li(s3, 10);
+    a.La(a3, "patch");
+    a.Li(a4, 0x00790913);  // addi s2, s2, 7 — the replacement word
+    a.Li(a5, kRam + 0x4000);
+    a.Li(s5, 0);
+    a.Bind("outer");
+    a.Li(s4, 0);
+    a.Bind("loop");
+    a.Bind("patch");
+    a.Addi(s2, s2, 1);
+    a.Sd(s2, a5, 0);  // a data store through the fast path
+    a.Addi(s4, s4, 1);
+    a.Blt(s4, s3, "loop");
+    a.Sw(a4, a3, 0);  // patch the loop body between passes
+    a.Addi(s5, s5, 1);
+    a.Li(t0, 3);
+    a.Blt(s5, t0, "outer");
+    a.Li(t1, 0x10'0000);  // finisher
+    a.Li(t2, 0x5555);     // pass
+    a.Sw(t2, t1, 0);
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    const bool finished = machine.RunUntilFinished(100000);
+    *invalidations = machine.bus().code_generation();
+    *fast_hits = hart.host_fastpath_hits();
+    return std::make_tuple(finished, hart.gpr(s2), hart.cycles(), hart.instret(), hart.pc());
+  };
+  for (PrivMode priv : {PrivMode::kMachine, PrivMode::kSupervisor}) {
+    SCOPED_TRACE(priv == PrivMode::kMachine ? "M-mode" : "bare S-mode");
+    uint64_t invalidations = 0;
+    uint64_t fast_hits = 0;
+    uint64_t unused = 0;
+    const auto cached = run(priv, SimTuning{}, &invalidations, &fast_hits);
+    const auto reference = run(priv, NoHostCaches(), &unused, &unused);
+    EXPECT_TRUE(std::get<0>(cached));
+    EXPECT_EQ(std::get<1>(cached), 150u);  // 10 * 1 + 20 * 7
+    EXPECT_EQ(cached, reference);
+    EXPECT_GE(invalidations, 1u);  // the second patching store overwrote cached code
+    EXPECT_GT(fast_hits, 0u);
+  }
+}
+
+TEST(IdentityFastPathTest, SubPagePmpRegionKeepsSlowPathAndFaults) {
+  // A locked 64-byte region with no permissions constrains M-mode. Its page is not
+  // uniformly permitted, so loads beside the region take the slow path (and still
+  // succeed) and a load inside it faults.
+  MachineConfig config;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  const uint64_t region = kRam + 0x5000;
+  hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x98));  // locked NAPOT, ---
+  hart.csrs().pmp().SetAddr(0, (region >> 2) | 0x7);   // 64 bytes
+  machine.bus().Write(region + 0x100, 8, 0xABCD);
+  Assembler a(kRam);
+  a.La(t0, "handler");
+  a.Csrw(kCsrMtvec, t0);
+  a.Li(t0, region);
+  a.Li(s2, 0);
+  a.Li(s3, 20);
+  a.Li(s4, 0);
+  a.Bind("loop");
+  a.Ld(t1, t0, 0x100);
+  a.Add(s4, s4, t1);
+  a.Addi(s2, s2, 1);
+  a.Blt(s2, s3, "loop");
+  a.Ld(t1, t0, 8);  // inside the locked region
+  a.Bind("handler");
+  a.Wfi();
+  Image image = std::move(a.Finish()).value();
+  machine.LoadImage(image.base, image.bytes);
+  hart.set_pc(image.entry);
+  machine.RunUntilFinished(2000);
+  EXPECT_EQ(hart.gpr(s4), 20u * 0xABCD);
+  EXPECT_EQ(hart.csrs().Get(kCsrMcause), CauseValue(ExceptionCause::kLoadAccessFault));
+  EXPECT_EQ(hart.csrs().Get(kCsrMtval), region + 8);
+  EXPECT_EQ(hart.host_fastpath_hits(), 0u);
+  EXPECT_GE(hart.host_fastpath_misses(), 10u);
+}
+
+TEST(IdentityFastPathTest, MmioNeverUsesTheFastPath) {
+  MachineConfig config;
+  Machine machine(config);
+  Hart& hart = machine.hart(0);
+  Assembler a(kRam);
+  a.Li(t0, config.map.uart_base);
+  a.Li(s2, 0);
+  a.Li(s3, 20);
+  a.Bind("loop");
+  a.Lbu(t1, t0, 5);  // UART line status
+  a.Addi(s2, s2, 1);
+  a.Blt(s2, s3, "loop");
+  a.Li(t1, 0x10'0000);  // finisher
+  a.Li(t2, 0x5555);     // pass
+  a.Sw(t2, t1, 0);
+  Image image = std::move(a.Finish()).value();
+  machine.LoadImage(image.base, image.bytes);
+  hart.set_pc(image.entry);
+  ASSERT_TRUE(machine.RunUntilFinished(10000));
+  EXPECT_EQ(machine.bus().mmio_ops(), 21u);  // every status read, plus the finisher
+  EXPECT_EQ(hart.host_fastpath_hits(), 0u);
+}
+
+TEST_F(TlbTest, MprvWithSv39MppStillWalks) {
+  // M-mode with MPRV and MPP = S: data accesses translate through Sv39, so the
+  // fast path must use the paged entry, never an identity one: VA 0x3000 maps to
+  // kRam + 0x5000, while an identity access to 0x3000 would fault (no RAM there).
+  const auto run = [](const SimTuning& tuning, uint64_t* fast_hits) {
+    MachineConfig config;
+    config.tuning = tuning;
+    Machine machine(config);
+    Hart& hart = machine.hart(0);
+    SetupPaging(machine);
+    hart.csrs().pmp().SetCfg(0, PmpCfg::FromByte(0x1F));
+    hart.csrs().pmp().SetAddr(0, ~uint64_t{0} >> 10);
+    hart.csrs().Set(kCsrSatp, (uint64_t{8} << 60) | (kRoot >> 12));
+    uint64_t mstatus = hart.csrs().mstatus();
+    mstatus = SetBit(mstatus, MstatusBits::kMprv, 1);
+    mstatus = (mstatus & ~MaskRange(MstatusBits::kMppHi, MstatusBits::kMppLo)) |
+              (static_cast<uint64_t>(PrivMode::kSupervisor) << MstatusBits::kMppLo);
+    hart.csrs().set_mstatus(mstatus);
+    machine.bus().Write(kRam + 0x5000, 8, 0xABCD);
+    Assembler a(kRam + 0x8000);
+    a.Li(t0, 0x3000);
+    a.Li(s2, 0);
+    a.Li(s3, 50);
+    a.Li(s4, 0);
+    a.Bind("loop");
+    a.Ld(t1, t0, 0);
+    a.Add(s4, s4, t1);
+    a.Addi(s2, s2, 1);
+    a.Blt(s2, s3, "loop");
+    a.Wfi();
+    Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    hart.set_pc(image.entry);
+    machine.RunUntilFinished(2000);
+    *fast_hits = hart.host_fastpath_hits();
+    return std::make_tuple(hart.cycles(), hart.instret(), hart.pc(), hart.gpr(s4),
+                           hart.csrs().Get(kCsrMcause));
+  };
+  uint64_t fast_hits = 0;
+  uint64_t unused = 0;
+  const auto cached = run(SimTuning{}, &fast_hits);
+  const auto reference = run(NoHostCaches(), &unused);
+  EXPECT_EQ(std::get<3>(cached), 50u * 0xABCD);
+  EXPECT_EQ(cached, reference);  // includes the replayed walk cycles
+  EXPECT_GT(fast_hits, 0u);
 }
 
 }  // namespace
