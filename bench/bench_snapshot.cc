@@ -1,14 +1,17 @@
 // Snapshot / restore / fork latency (DESIGN.md §2h). Boots a monitored guest once,
 // then measures: whole-machine snapshot save and restore latency, Machine::Fork()
 // latency and per-fork resident-memory cost over a fleet of forks, and the headline
-// ratio — how much cheaper forking a booted machine is than booting a fresh one.
+// ratio — how much cheaper forking a booted machine is than booting a fresh one: the
+// median of kForks fresh boots over the median of kForks forks.
 // Machine-readable results go to BENCH_snapshot.json (CI uploads it next to
 // BENCH_sim_speed.json).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -23,6 +26,12 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2] : (samples[n / 2 - 1] + samples[n / 2]) / 2;
 }
 
 // Resident set size in KiB, from /proc/self/statm (0 where unavailable).
@@ -57,11 +66,19 @@ constexpr unsigned kForks = 32;
 void Run() {
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, 1, false);
 
-  // -- Baseline: what a fresh boot costs (construction + firmware + kernel entry).
-  const Clock::time_point boot_t0 = Clock::now();
-  System system = BootSystem(profile, DeployMode::kMiralis, ComputeKernel(profile));
-  system.machine->RunUntilFinished(kBootBudget);
-  const double boot_seconds = SecondsSince(boot_t0);
+  // -- Baseline: what a fresh boot costs (construction + firmware + kernel entry),
+  // sampled as often as a fork. The last booted system is the one snapshotted and
+  // forked below.
+  std::vector<double> boot_samples;
+  std::optional<System> booted;
+  for (unsigned i = 0; i < kForks; ++i) {
+    booted.reset();  // teardown is not part of a boot
+    const Clock::time_point boot_t0 = Clock::now();
+    booted.emplace(BootSystem(profile, DeployMode::kMiralis, ComputeKernel(profile)));
+    booted->machine->RunUntilFinished(kBootBudget);
+    boot_samples.push_back(SecondsSince(boot_t0));
+  }
+  System& system = *booted;
 
   // -- Snapshot save: first save freezes RAM (fd transfer, no copy), repeat saves
   // of the quiescent machine reuse the frozen images outright.
@@ -88,12 +105,13 @@ void Run() {
   // show up in the per-fork cost, not hidden until first use.
   std::vector<std::unique_ptr<Machine>> fleet;
   fleet.reserve(kForks);
+  std::vector<double> fork_samples;
   const double rss_before_kib = RssKib();
-  const Clock::time_point fork_t0 = Clock::now();
   for (unsigned i = 0; i < kForks; ++i) {
+    const Clock::time_point fork_t0 = Clock::now();
     fleet.push_back(system.machine->Fork());
+    fork_samples.push_back(SecondsSince(fork_t0));
   }
-  const double fork_seconds = SecondsSince(fork_t0);
   uint64_t fleet_instructions = 0;
   for (const std::unique_ptr<Machine>& child : fleet) {
     const uint64_t before = child->total_instret();
@@ -102,21 +120,21 @@ void Run() {
   }
   const double rss_after_kib = RssKib();
 
-  const double fork_us = fork_seconds * 1e6 / kForks;
-  const double boot_us = boot_seconds * 1e6;
+  const double fork_us = Median(fork_samples) * 1e6;
+  const double boot_us = Median(boot_samples) * 1e6;
   const double speedup = fork_us > 0 ? boot_us / fork_us : 0.0;
   const double per_fork_rss_kib =
       rss_after_kib > rss_before_kib ? (rss_after_kib - rss_before_kib) / kForks : 0.0;
 
   PrintHeader("bench_snapshot", "whole-machine snapshot, restore, and CoW fork");
-  std::printf("fresh boot (construct + firmware + kernel):  %10.1f us\n", boot_us);
+  std::printf("fresh boot (median of %u):                    %10.1f us\n", kForks, boot_us);
   std::printf("snapshot save (first, freezes RAM):          %10.1f us\n",
               save_seconds * 1e6);
   std::printf("snapshot save (repeat, quiescent):           %10.1f us\n",
               resave_seconds * 1e6);
   std::printf("snapshot restore (fresh machine):            %10.1f us\n",
               restore_seconds * 1e6);
-  std::printf("fork (mean of %u):                           %10.1f us\n", kForks, fork_us);
+  std::printf("fork (median of %u):                         %10.1f us\n", kForks, fork_us);
   std::printf("per-fork RSS after running 1k instructions:  %10.1f KiB\n",
               per_fork_rss_kib);
   std::printf("fork vs fresh boot:                          %10.1fx cheaper\n", speedup);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/isa/instr.h"
 
 namespace vfm {
 
@@ -64,97 +65,75 @@ class Assembler {
   // Emits an 8-byte slot holding the final address of `label` (resolved at Finish).
   void AddrWord(const std::string& label);
 
-  // -- RV64I. --------------------------------------------------------------------
-  void Lui(Reg rd, int32_t imm20);
-  void Auipc(Reg rd, int32_t imm20);
-  void Jal(Reg rd, const std::string& label);
-  void Jalr(Reg rd, Reg rs1, int32_t imm);
-  void Beq(Reg rs1, Reg rs2, const std::string& label);
-  void Bne(Reg rs1, Reg rs2, const std::string& label);
-  void Blt(Reg rs1, Reg rs2, const std::string& label);
-  void Bge(Reg rs1, Reg rs2, const std::string& label);
-  void Bltu(Reg rs1, Reg rs2, const std::string& label);
-  void Bgeu(Reg rs1, Reg rs2, const std::string& label);
-  void Lb(Reg rd, Reg rs1, int32_t imm);
-  void Lh(Reg rd, Reg rs1, int32_t imm);
-  void Lw(Reg rd, Reg rs1, int32_t imm);
-  void Ld(Reg rd, Reg rs1, int32_t imm);
-  void Lbu(Reg rd, Reg rs1, int32_t imm);
-  void Lhu(Reg rd, Reg rs1, int32_t imm);
-  void Lwu(Reg rd, Reg rs1, int32_t imm);
-  void Sb(Reg rs2, Reg rs1, int32_t imm);
-  void Sh(Reg rs2, Reg rs1, int32_t imm);
-  void Sw(Reg rs2, Reg rs1, int32_t imm);
-  void Sd(Reg rs2, Reg rs1, int32_t imm);
-  void Addi(Reg rd, Reg rs1, int32_t imm);
-  void Slti(Reg rd, Reg rs1, int32_t imm);
-  void Sltiu(Reg rd, Reg rs1, int32_t imm);
-  void Xori(Reg rd, Reg rs1, int32_t imm);
-  void Ori(Reg rd, Reg rs1, int32_t imm);
-  void Andi(Reg rd, Reg rs1, int32_t imm);
-  void Slli(Reg rd, Reg rs1, unsigned shamt);
-  void Srli(Reg rd, Reg rs1, unsigned shamt);
-  void Srai(Reg rd, Reg rs1, unsigned shamt);
-  void Add(Reg rd, Reg rs1, Reg rs2);
-  void Sub(Reg rd, Reg rs1, Reg rs2);
-  void Sll(Reg rd, Reg rs1, Reg rs2);
-  void Slt(Reg rd, Reg rs1, Reg rs2);
-  void Sltu(Reg rd, Reg rs1, Reg rs2);
-  void Xor(Reg rd, Reg rs1, Reg rs2);
-  void Srl(Reg rd, Reg rs1, Reg rs2);
-  void Sra(Reg rd, Reg rs1, Reg rs2);
-  void Or(Reg rd, Reg rs1, Reg rs2);
-  void And(Reg rd, Reg rs1, Reg rs2);
-  void Addiw(Reg rd, Reg rs1, int32_t imm);
-  void Addw(Reg rd, Reg rs1, Reg rs2);
-  void Subw(Reg rd, Reg rs1, Reg rs2);
-  void Slliw(Reg rd, Reg rs1, unsigned shamt);
-  void Srliw(Reg rd, Reg rs1, unsigned shamt);
-  void Sraiw(Reg rd, Reg rs1, unsigned shamt);
-  void Sllw(Reg rd, Reg rs1, Reg rs2);
-  void Srlw(Reg rd, Reg rs1, Reg rs2);
-  void Sraw(Reg rd, Reg rs1, Reg rs2);
-  void Fence();
-  void FenceI();
-  void Ecall();
-  void Ebreak();
-
-  // -- RV64M. ------------------------------------------------------------------------
-  void Mul(Reg rd, Reg rs1, Reg rs2);
-  void Mulh(Reg rd, Reg rs1, Reg rs2);
-  void Mulhsu(Reg rd, Reg rs1, Reg rs2);
-  void Mulhu(Reg rd, Reg rs1, Reg rs2);
-  void Div(Reg rd, Reg rs1, Reg rs2);
-  void Divu(Reg rd, Reg rs1, Reg rs2);
-  void Rem(Reg rd, Reg rs1, Reg rs2);
-  void Remu(Reg rd, Reg rs1, Reg rs2);
-  void Mulw(Reg rd, Reg rs1, Reg rs2);
-  void Divw(Reg rd, Reg rs1, Reg rs2);
-  void Divuw(Reg rd, Reg rs1, Reg rs2);
-  void Remw(Reg rd, Reg rs1, Reg rs2);
-  void Remuw(Reg rd, Reg rs1, Reg rs2);
-
-  // -- RV64A (subset used by kernels). -----------------------------------------------
-  void LrW(Reg rd, Reg rs1);
-  void ScW(Reg rd, Reg rs2, Reg rs1);
-  void AmoswapW(Reg rd, Reg rs2, Reg rs1);
-  void AmoaddW(Reg rd, Reg rs2, Reg rs1);
-  void AmoaddD(Reg rd, Reg rs2, Reg rs1);
-  void AmoswapD(Reg rd, Reg rs2, Reg rs1);
-
-  // -- Zicsr. --------------------------------------------------------------------
-  void Csrrw(Reg rd, uint16_t csr, Reg rs1);
-  void Csrrs(Reg rd, uint16_t csr, Reg rs1);
-  void Csrrc(Reg rd, uint16_t csr, Reg rs1);
-  void Csrrwi(Reg rd, uint16_t csr, uint8_t zimm);
-  void Csrrsi(Reg rd, uint16_t csr, uint8_t zimm);
-  void Csrrci(Reg rd, uint16_t csr, uint8_t zimm);
-
-  // -- Privileged. ---------------------------------------------------------------
-  void Sret();
-  void Mret();
-  void Wfi();
-  void SfenceVma();
+  // -- Instructions: one method per ISA table row (src/isa/semantics.h), named after
+  //    the row and taking the operands of its format (src/isa/instr.h):
+  //
+  //      R         Add(rd, rs1, rs2)           Csr     Csrrw(rd, csr, rs1)
+  //      I, Load   Addi(rd, rs1, imm)          CsrI    Csrrwi(rd, csr, zimm)
+  //      Shift(W)  Slli(rd, rs1, shamt)        Amo     AmoaddW(rd, rs2, rs1)
+  //      S         Sd(rs2, rs1, imm)           Lr      LrW(rd, rs1)
+  //      B         Beq(rs1, rs2, label)        Sfence  SfenceVma(rs1 = zero, rs2 = zero)
+  //      U         Lui(rd, imm20)              System  Ecall()
+  //      J         Jal(rd, label)              Fence   Fence(), FenceI()
+  //
+  //    Encode (src/isa) checks that each immediate fits its field.
+#define VFM_ASM_R(name)                                            \
+  void name(Reg rd, Reg rs1, Reg rs2) {                            \
+    EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1, .rs2 = rs2}); \
+  }
+#define VFM_ASM_I(name)                                            \
+  void name(Reg rd, Reg rs1, int32_t imm) {                        \
+    EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1, .imm = imm}); \
+  }
+#define VFM_ASM_Load(name) VFM_ASM_I(name)
+#define VFM_ASM_Shift(name)                                          \
+  void name(Reg rd, Reg rs1, unsigned shamt) {                       \
+    EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1, .imm = shamt}); \
+  }
+#define VFM_ASM_ShiftW(name) VFM_ASM_Shift(name)
+#define VFM_ASM_S(name)                                              \
+  void name(Reg rs2, Reg rs1, int32_t imm) {                         \
+    EmitOp({.op = Op::k##name, .rs1 = rs1, .rs2 = rs2, .imm = imm}); \
+  }
+#define VFM_ASM_B(name)                                              \
+  void name(Reg rs1, Reg rs2, const std::string& label) {            \
+    EmitToLabel({.op = Op::k##name, .rs1 = rs1, .rs2 = rs2}, label); \
+  }
+#define VFM_ASM_U(name)                                                  \
+  void name(Reg rd, int32_t imm20) {                                     \
+    EmitOp({.op = Op::k##name, .rd = rd, .imm = int64_t{imm20} * 4096}); \
+  }
+#define VFM_ASM_J(name)                                \
+  void name(Reg rd, const std::string& label) {        \
+    EmitToLabel({.op = Op::k##name, .rd = rd}, label); \
+  }
+#define VFM_ASM_Csr(name)                                          \
+  void name(Reg rd, uint16_t csr, Reg rs1) {                       \
+    EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1, .csr = csr}); \
+  }
+#define VFM_ASM_CsrI(name)                                           \
+  void name(Reg rd, uint16_t csr, uint8_t zimm) {                    \
+    EmitOp({.op = Op::k##name, .rd = rd, .csr = csr, .zimm = zimm}); \
+  }
+#define VFM_ASM_Amo(name)                                          \
+  void name(Reg rd, Reg rs2, Reg rs1) {                            \
+    EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1, .rs2 = rs2}); \
+  }
+#define VFM_ASM_Lr(name) \
+  void name(Reg rd, Reg rs1) { EmitOp({.op = Op::k##name, .rd = rd, .rs1 = rs1}); }
+#define VFM_ASM_Sfence(name)                             \
+  void name(Reg rs1 = zero, Reg rs2 = zero) {            \
+    EmitOp({.op = Op::k##name, .rs1 = rs1, .rs2 = rs2}); \
+  }
+#define VFM_ASM_System(name) \
+  void name() { EmitOp({.op = Op::k##name}); }
+#define VFM_ASM_Fence(name)  // Fence() and FenceI() below
+#define VFM_X(name, format, ...) VFM_ASM_##format(name)
+  VFM_ISA_OPS(VFM_X)
+#undef VFM_X
+  // The fence rows' fm/pred/succ field is an I-immediate; fence orders everything.
+  void Fence() { EmitOp({.op = Op::kFence, .imm = 0x0FF}); }  // fence iorw, iorw
+  void FenceI() { EmitOp({.op = Op::kFenceI}); }
 
   // -- Pseudo-instructions. --------------------------------------------------------
   void Nop() { Addi(zero, zero, 0); }
@@ -181,7 +160,7 @@ class Assembler {
   Result<Image> Finish();
 
  private:
-  enum class FixupKind { kBranch, kJal, kPcrelPair, kAddrWord };
+  enum class FixupKind { kPcrel, kPcrelPair, kAddrWord };
   struct Fixup {
     uint64_t offset;  // where in buffer_
     std::string label;
@@ -189,10 +168,11 @@ class Assembler {
   };
 
   void Emit32(uint32_t word);
-  void EmitR(uint32_t funct7, Reg rs2, Reg rs1, uint32_t funct3, Reg rd, uint32_t opcode);
-  void EmitI(int32_t imm, Reg rs1, uint32_t funct3, Reg rd, uint32_t opcode);
-  void EmitS(int32_t imm, Reg rs2, Reg rs1, uint32_t funct3, uint32_t opcode);
-  void EmitBranch(uint32_t funct3, Reg rs1, Reg rs2, const std::string& label);
+  void EmitOp(const DecodedInstr& instr) { Emit32(Encode(instr)); }
+  // Emits a B- or J-format op whose offset reaches `label`, now or at Finish.
+  void EmitToLabel(DecodedInstr instr, const std::string& label);
+  // Re-encodes the instruction at `offset` with a new immediate.
+  void PatchImm(uint64_t offset, int64_t imm);
   void Patch32(uint64_t offset, uint32_t word);
   uint32_t Load32(uint64_t offset) const;
 

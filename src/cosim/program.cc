@@ -39,13 +39,14 @@ constexpr unsigned kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
 
 Reg PickReg(Rng& rng) { return kPool[rng.NextBelow(kPoolSize)]; }
 
-uint32_t EncodeAddi(unsigned rd, unsigned rs1, int32_t imm) {
-  return (static_cast<uint32_t>(imm & 0xFFF) << 20) | (static_cast<uint32_t>(rs1) << 15) |
-         (static_cast<uint32_t>(rd) << 7) | 0x13;
+// addi rd, rd, imm, with imm wrapped to its 12-bit field.
+uint32_t EncodeAddi(unsigned rd, int32_t imm) {
+  const auto imm12 = static_cast<int64_t>(SignExtend(static_cast<uint64_t>(imm) & 0xFFF, 12));
+  return Encode({.op = Op::kAddi,
+                 .rd = static_cast<uint8_t>(rd),
+                 .rs1 = static_cast<uint8_t>(rd),
+                 .imm = imm12});
 }
-
-// sfence.vma rs1, x0 (per-address form).
-uint32_t EncodeSfenceVma(unsigned rs1) { return 0x12000073u | (static_cast<uint32_t>(rs1) << 15); }
 
 // Clamps generated CSR-write values so programs stay productive: interrupts the
 // handlers cannot clear are never delegated or set, ecalls always reach M-mode (the
@@ -583,7 +584,7 @@ void EmitAction(Assembler& a, const Action& act, unsigned idx, unsigned depth) {
         default: {
           const Reg rA = static_cast<Reg>(act.ra);
           a.Li(rA, act.a);
-          a.Word32(EncodeSfenceVma(rA));
+          a.SfenceVma(rA);  // per-address form
           break;
         }
       }
@@ -605,7 +606,7 @@ void EmitAction(Assembler& a, const Action& act, unsigned idx, unsigned depth) {
             CosimLayout::kDataPhys +
             ((static_cast<uint64_t>(act.b) * 2654435761u) & 0xFF8);
         a.Li(t0, scratch);
-        a.Li(t1, EncodeAddi(s2, s2, static_cast<int32_t>(act.b)));
+        a.Li(t1, EncodeAddi(s2, static_cast<int32_t>(act.b)));
         a.Li(s2, 0);
         a.Li(s11, 12);
         a.Bind(head);
@@ -624,7 +625,7 @@ void EmitAction(Assembler& a, const Action& act, unsigned idx, unsigned depth) {
       const Reg rB = static_cast<Reg>(act.rb);
       const std::string site = Lbl(idx, "patch");
       a.La(rA, site);
-      a.Li(rB, EncodeAddi(act.rd, act.rd, static_cast<int32_t>(act.b)));
+      a.Li(rB, EncodeAddi(act.rd, static_cast<int32_t>(act.b)));
       a.Sw(rB, rA, 0);
       a.FenceI();
       a.Bind(site);

@@ -661,10 +661,14 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
       }
       if (valid) {
         ++sb_hits_;
-      } else {
+      } else if (const FetchEntry& head = icache_[(pc_ >> 2) & icache_mask_];
+                 !FetchHit(head, pc_, cache_stamp(), effective_satp, FetchCtx()) ||
+                 SuperblockClass(head.instr.op) != SbClass::kBarrier) {
         ++sb_misses_;
         valid = FillSuperblock(&sb);
       }
+      // else: a barrier op heads no block; the Tick below runs it, and no lookup
+      // was made to count.
       if (valid) {
         const SbRun run = ExecuteThreaded(&sb, max_steps - batch.executed, stop_cycles);
         batch.executed += run.dispatched;
@@ -848,7 +852,7 @@ void Hart::LowerInstr(const FetchEntry& entry, SbClass cls, uint64_t pc,
   case Op::k##name:        \
     v = sem::name(v, imm); \
     break;
-#define VFM_X(name, form, cost, result) VFM_FOLD_##form(name)
+#define VFM_X(name, format, match, form, cost, result) VFM_FOLD_##form(name)
           VFM_ALU_OPS(VFM_X)
 #undef VFM_X
 #undef VFM_FOLD_Imm
@@ -1297,7 +1301,7 @@ StepResult Hart::Execute(const DecodedInstr& d) {
     }
 #define VFM_OPERAND_Reg rs2
 #define VFM_OPERAND_Imm static_cast<uint64_t>(d.imm)
-#define VFM_X(name, form, cost, result)                \
+#define VFM_X(name, format, match, form, cost, result) \
   case Op::k##name:                                    \
     set_gpr(d.rd, sem::name(rs1, VFM_OPERAND_##form)); \
     return Retire(next, AluCycles(CostClass::k##cost));
@@ -1305,8 +1309,8 @@ StepResult Hart::Execute(const DecodedInstr& d) {
 #undef VFM_X
 #undef VFM_OPERAND_Imm
 #undef VFM_OPERAND_Reg
-#define VFM_X(name, taken) \
-  case Op::k##name:        \
+#define VFM_X(name, ...) \
+  case Op::k##name:      \
     return Retire(sem::name(rs1, rs2) ? pc_ + static_cast<uint64_t>(d.imm) : next, base_cost);
     VFM_BRANCH_OPS(VFM_X)
 #undef VFM_X
@@ -1448,7 +1452,7 @@ StepResult Hart::ExecuteAmo(const DecodedInstr& d) {
     // instruction with full bus access (DESIGN.md §2i).
     return AbortSegment();
   }
-  const bool is64 = d.op >= Op::kLrD;
+  const bool is64 = ExtractBits(RowOf(d.op).match, 14, 12) == 3;  // funct3: 2 = .w, 3 = .d
   const unsigned size = is64 ? 8 : 4;
   const uint64_t vaddr = gpr_[d.rs1];
   const uint64_t cost = cost_->instr_base + 2 * cost_->instr_mem;

@@ -697,6 +697,26 @@ TEST_F(SuperblockTest, SatpChangeIsPartOfBlockKey) {
   EXPECT_EQ(hart_->superblock_hits(), 2u);
 }
 
+TEST_F(SuperblockTest, BarrierHeadIsNotCountedAsMiss) {
+  // A CSR read heads every iteration. No block can start at a barrier op, so its
+  // ticks must not count as block lookups that missed.
+  Assembler a(kRam);
+  a.Bind("loop");
+  a.Csrr(t0, kCsrMscratch);
+  a.Addi(t1, t1, 1);
+  a.J("loop");
+  const Image image = std::move(a.Finish()).value();
+  machine_->LoadImage(image.base, image.bytes);
+  hart_->set_pc(kRam);
+  hart_->RunBatch(30, ~uint64_t{0});  // decodes every word and builds the addi+j block
+  const uint64_t misses = hart_->superblock_misses();
+  const uint64_t hits = hart_->superblock_hits();
+  hart_->RunBatch(3000, ~uint64_t{0});  // 1,000 more iterations: 1,000 barrier ticks
+  EXPECT_EQ(hart_->superblock_misses(), misses);
+  EXPECT_EQ(hart_->superblock_hits(), hits + 1000);
+  EXPECT_EQ(hart_->gpr(t1), 1010u);
+}
+
 TEST(SuperblockMachineTest, SelfModifyingLoopMatchesPerInstruction) {
   // A loop that patches its own body between passes: with the block engine on, the
   // store lands while a cached superblock over the loop is live. The patched

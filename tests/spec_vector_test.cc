@@ -645,7 +645,7 @@ TEST(SpecVectorTest, EveryTableOpHasVectors) {
   for (const MemVector& v : MemVectors()) {
     covered.insert(v.op);
   }
-  for (unsigned i = 0; i <= static_cast<unsigned>(Op::kHfenceGvma); ++i) {
+  for (unsigned i = 0; i < kOpCount; ++i) {
     const Op op = static_cast<Op>(i);
     if (SuperblockClass(op) == SbClass::kBarrier || op == Op::kLui || op == Op::kAuipc ||
         op == Op::kJal || op == Op::kJalr) {
