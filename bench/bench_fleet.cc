@@ -135,6 +135,18 @@ void Run(bool smoke) {
   json.Add("fleet64_p99_us", c64_nw.stats.p99_us);
   json.Add("fleet64_req_per_sec", c64_nw.stats.requests_per_host_sec);
   json.Add("fleet64_steals", static_cast<double>(c64_nw.stats.steals));
+  // Host code-cache counters of the same cell. They depend only on each machine's
+  // instruction stream, so they are deterministic and CI gates on them.
+  const FleetStats& s64 = c64_nw.stats;
+  json.Add("fleet64_decode_hits", static_cast<double>(s64.decode_hits));
+  json.Add("fleet64_decode_misses", static_cast<double>(s64.decode_misses));
+  json.Add("fleet64_superblock_hits", static_cast<double>(s64.superblock_hits));
+  json.Add("fleet64_superblock_misses", static_cast<double>(s64.superblock_misses));
+  json.Add("fleet64_promotions", static_cast<double>(s64.promotions));
+  json.Add("decode_misses_per_request",
+           s64.requests_completed > 0 ? static_cast<double>(s64.decode_misses) /
+                                            static_cast<double>(s64.requests_completed)
+                                      : 0);
   for (size_t i = 0; i < rate_cells.size(); ++i) {
     const std::string prefix = "rate" + std::to_string(kRates[i]) + "_";
     json.Add(prefix + "p50_us", rate_cells[i].stats.p50_us);

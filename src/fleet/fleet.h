@@ -95,6 +95,13 @@ struct FleetStats {
   std::vector<uint64_t> worker_retired;  // per worker
   std::vector<uint64_t> worker_slices;
   std::vector<double> worker_busy_seconds;
+  // Host code caches, summed over every machine's harts (DESIGN.md §2b, §2f). They
+  // repeat exactly across worker counts but describe the host, not the guest.
+  uint64_t decode_hits = 0;
+  uint64_t decode_misses = 0;
+  uint64_t superblock_hits = 0;
+  uint64_t superblock_misses = 0;
+  uint64_t promotions = 0;
 
   // FNV-1a over the deterministic fields above — the cross-worker-count
   // equality hook for the determinism tests.

@@ -64,8 +64,9 @@ std::string Disassemble(const DecodedInstr& d) {
     case Format::kCsrI:
       return Sprintf("%s %s, %s, %u", name, RegName(d.rd), CsrName(d.csr).c_str(), d.zimm);
     case Format::kAmo:
-    case Format::kLr:
       return Sprintf("%s %s, %s, (%s)", name, RegName(d.rd), RegName(d.rs2), RegName(d.rs1));
+    case Format::kLr:
+      return Sprintf("%s %s, (%s)", name, RegName(d.rd), RegName(d.rs1));
     case Format::kSfence:
       return Sprintf("%s %s, %s", name, RegName(d.rs1), RegName(d.rs2));
   }

@@ -121,23 +121,6 @@ DecodedInstr Decode(uint32_t w) {
     }
     return d;
   }
-  // An undecodable BRANCH, LOAD, STORE, OP-IMM or OP-IMM-32 word keeps its opcode's
-  // immediate, as it always has. Nothing reads it.
-  switch (w & 0x7F) {
-    case 0x63:
-      d.imm = ImmB(w);
-      break;
-    case 0x23:
-      d.imm = ImmS(w);
-      break;
-    case 0x03:
-    case 0x13:
-    case 0x1B:
-      d.imm = ImmI(w);
-      break;
-    default:
-      break;
-  }
   return d;
 }
 

@@ -27,7 +27,8 @@ struct HartIsaConfig {
 // accounting — they only trade host memory for host speed (DESIGN.md §2b).
 struct SimTuning {
   // Entries in the per-hart decoded-instruction cache (direct-mapped, indexed by
-  // pc >> 2). Must be a power of two; 0 disables the cache entirely.
+  // pc >> 2 plus a per-page rotation: Hart::CodeSlot). Must be a power of two; 0
+  // disables the cache entirely.
   uint32_t decode_cache_entries = 16384;
   // Upper bound on instructions executed per Hart::RunBatch call from the batched
   // run loop (Machine::RunUntilFinished). Batches also end early at trap,
@@ -43,9 +44,10 @@ struct SimTuning {
   // already-decoded instructions, lowered into threaded code as they are built and
   // executed by direct handler dispatch that spills architectural counters only at
   // block exits. Lowering bakes in the exact cycle charges of the interpreter path,
-  // so the tier is behaviour- and cycle-invisible. Direct-mapped by start pc >> 2;
-  // rounded up to a power of two; 0 disables. Blocks are built from decode-cache
-  // entries, so they are also implicitly disabled when decode_cache_entries == 0.
+  // so the tier is behaviour- and cycle-invisible. Direct-mapped by start pc like the
+  // decode cache (Hart::CodeSlot); rounded up to a power of two; 0 disables. Blocks
+  // are built from decode-cache entries, so they are also implicitly disabled when
+  // decode_cache_entries == 0.
   uint32_t superblock_entries = 2048;
   // Deterministic quantum scheduling for multi-hart machines (DESIGN.md §2i): instead
   // of interleaving harts one instruction at a time, each hart privately executes a

@@ -559,7 +559,7 @@ StepResult Hart::Tick() {
   // never applies to fetches.
   if (icache_mask_ != 0) {
     const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
-    const FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+    const FetchEntry& entry = icache_[CodeSlot(pc_, icache_mask_)];
     if (FetchHit(entry, pc_, cache_stamp(), effective_satp, FetchCtx())) {
       ++icache_hits_;
       StepResult result = Execute(entry.instr);
@@ -606,7 +606,7 @@ StepResult Hart::Tick() {
       trackable &= bus_->MarkPtPage(fetch.pte_addrs[i]);
     }
     if (trackable) {
-      FetchEntry& entry = icache_[(pc_ >> 2) & icache_mask_];
+      FetchEntry& entry = icache_[CodeSlot(pc_, icache_mask_)];
       entry.code_gen = bus_->MarkCode(fetch.paddr);
       entry.code_gen_at_fill = *entry.code_gen;
       entry.tag = pc_;
@@ -644,7 +644,7 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
     // batches, and an MMIO access ends the batch after its instruction — so one
     // sample per dispatch observes everything per-instruction sampling would.
     if (sb_mask_ != 0 && !waiting_ && IsAligned(pc_, 4) && !PendingInterrupt()) {
-      SuperblockEntry& sb = sblocks_[(pc_ >> 2) & sb_mask_];
+      SuperblockEntry& sb = sblocks_[CodeSlot(pc_, sb_mask_)];
       const uint64_t effective_satp = virt_ ? csrs_.vsatp() : csrs_.satp();
       // The code-generation load comes last: only a built slot (stamp != 0) has one.
       bool valid = sb.tag == pc_ && sb.stamp == cache_stamp() && sb.satp == effective_satp &&
@@ -654,14 +654,14 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
         // has since been decoded, rebuild to extend. A rebuild can only commit a
         // non-empty block, so the entry stays valid either way.
         const uint64_t cont_pc = sb.tag + uint64_t{4} * sb.count;
-        if (FetchHit(icache_[(cont_pc >> 2) & icache_mask_], cont_pc, sb.stamp, sb.satp,
+        if (FetchHit(icache_[CodeSlot(cont_pc, icache_mask_)], cont_pc, sb.stamp, sb.satp,
                      sb.ctx)) {
           FillSuperblock(&sb);
         }
       }
       if (valid) {
         ++sb_hits_;
-      } else if (const FetchEntry& head = icache_[(pc_ >> 2) & icache_mask_];
+      } else if (const FetchEntry& head = icache_[CodeSlot(pc_, icache_mask_)];
                  !FetchHit(head, pc_, cache_stamp(), effective_satp, FetchCtx()) ||
                  SuperblockClass(head.instr.op) != SbClass::kBarrier) {
         ++sb_misses_;
@@ -714,7 +714,7 @@ bool Hart::FillSuperblock(SuperblockEntry* sb) {
   // Members all lie in the first member's page (a block stops at a page boundary) and
   // share its context, so they share its code generation: the block stamps that one.
   const auto member = [&](uint64_t pc) -> const FetchEntry* {
-    const FetchEntry& entry = icache_[(pc >> 2) & icache_mask_];
+    const FetchEntry& entry = icache_[CodeSlot(pc, icache_mask_)];
     return FetchHit(entry, pc, stamp, effective_satp, ctx) ? &entry : nullptr;
   };
   // A failed (re)build must not damage the existing entry, so the first member is

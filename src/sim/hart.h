@@ -399,6 +399,16 @@ class Hart {
                   static_cast<uint8_t>((virt_ ? 4 : 0) | static_cast<uint8_t>(priv_)));
   }
 
+  // The slot of `pc` in a code cache (the decode or the block cache) of mask + 1
+  // entries: pc >> 2 plus a rotation hashed from the page number. Consecutive
+  // instructions of a page keep consecutive slots, while two pages that share an
+  // offset within the cache window (the firmware and the OS code it returns to lie a
+  // multiple of every window apart) start at unrelated slots instead of evicting
+  // each other on every world switch.
+  static uint64_t CodeSlot(uint64_t pc, uint64_t mask) {
+    return ((pc >> 2) + ((pc >> 12) * 0x9E3779B97F4A7C15ull >> 44)) & mask;
+  }
+
   // The full decode-cache hit condition for `entry` at `pc` under the given stamp and
   // translation context. The code-generation load comes last: it is only reached
   // once the stamp has proven the slot filled (an untouched slot has stamp 0).
@@ -531,7 +541,7 @@ class Hart {
   // guest touches.
   ZeroedMemory cache_memory_;
 
-  // Decoded-instruction cache (direct-mapped, indexed by pc >> 2). Null when the
+  // Decoded-instruction cache (direct-mapped, indexed by CodeSlot). Null when the
   // cache is disabled; icache_mask_ == 0 doubles as the "disabled" flag.
   FetchEntry* icache_ = nullptr;
   uint64_t icache_mask_ = 0;
@@ -552,9 +562,9 @@ class Hart {
   uint64_t tlb_misses_ = 0;
   uint64_t tlb_flushes_ = 0;
 
-  // Block cache (direct-mapped, indexed by start pc >> 2). Null when disabled;
-  // sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode cache: blocks
-  // are built from, and validated against, its entries.
+  // Block cache (direct-mapped, indexed by CodeSlot of the start pc). Null when
+  // disabled; sb_mask_ == 0 doubles as the "disabled" flag. Requires the decode
+  // cache: blocks are built from, and validated against, its entries.
   SuperblockEntry* sblocks_ = nullptr;
   uint64_t sb_mask_ = 0;
   // Block storage: each slot's lowered ops and mem instrs are bump-allocated here

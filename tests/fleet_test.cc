@@ -236,6 +236,14 @@ TEST(FleetTest, AggregatesInvariantUnderWorkerCount) {
   EXPECT_EQ(stats1.total_retired, stats4.total_retired);
   EXPECT_EQ(stats1.total_cycles, stats4.total_cycles);
   EXPECT_EQ(stats1.latencies_ticks, stats4.latencies_ticks);
+  // The host code-cache counters stay out of the signature, but they too follow
+  // from each machine's instruction stream alone, which is what lets CI gate on them.
+  EXPECT_GT(stats1.decode_hits, 0u);
+  EXPECT_EQ(stats1.decode_hits, stats4.decode_hits);
+  EXPECT_EQ(stats1.decode_misses, stats4.decode_misses);
+  EXPECT_EQ(stats1.superblock_hits, stats4.superblock_hits);
+  EXPECT_EQ(stats1.superblock_misses, stats4.superblock_misses);
+  EXPECT_EQ(stats1.promotions, stats4.promotions);
 }
 
 TEST(FleetTest, RepeatedRunsOfOneManagerAreIdentical) {

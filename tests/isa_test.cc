@@ -9,6 +9,7 @@
 #include <set>
 
 #include "src/asm/assembler.h"
+#include "src/common/bits.h"
 #include "src/isa/csr.h"
 #include "src/isa/disasm.h"
 #include "src/isa/instr.h"
@@ -179,6 +180,25 @@ TEST(DecodeTest, AmoRoundTrip) {
 TEST(DecodeTest, CompressedRejected) {
   EXPECT_EQ(Decode(0x0001).op, Op::kInvalid);  // c.nop
   EXPECT_EQ(Decode(0x8082).op, Op::kInvalid);  // c.ret
+}
+
+TEST(DecodeTest, UndecodableWordCarriesNoImmediate) {
+  // beq's opcode with funct3 = 2 (no such branch), a store with funct3 = 4, a load
+  // with funct3 = 7, slli with shamt bits 31:26 set and OP-IMM-32's funct3 = 2, each
+  // with every immediate bit set: none of them names an op, so no field beyond the
+  // register numbers is filled.
+  for (const uint32_t word :
+       {0xFE05AFE3u, 0xFE05CFA3u, 0xFFF5F503u, 0xFFF59513u, 0xFFF5A51Bu}) {
+    const DecodedInstr d = Decode(word);
+    EXPECT_EQ(d.op, Op::kInvalid) << std::hex << word;
+    EXPECT_EQ(d.imm, 0) << std::hex << word;
+    EXPECT_EQ(d.csr, 0) << std::hex << word;
+    EXPECT_EQ(d.zimm, 0) << std::hex << word;
+    EXPECT_EQ(d.raw, word);
+    EXPECT_EQ(d.rd, ExtractBits(word, 11, 7));
+    EXPECT_EQ(d.rs1, ExtractBits(word, 19, 15));
+    EXPECT_EQ(d.rs2, ExtractBits(word, 24, 20));
+  }
 }
 
 TEST(DecodeTest, FenceForms) {
@@ -359,7 +379,7 @@ TEST(IsaTableTest, GoldenEncodings) {
        [](Assembler& a) {
          a.Csrrci(a5, kCsrSatp, 31);
        }},
-      {Op::kLrW, 0x1005a52f, "lr.w a0, zero, (a1)", [](Assembler& a) { a.LrW(a0, a1); }},
+      {Op::kLrW, 0x1005a52f, "lr.w a0, (a1)", [](Assembler& a) { a.LrW(a0, a1); }},
       {Op::kScW, 0x18c5a52f, "sc.w a0, a2, (a1)", [](Assembler& a) { a.ScW(a0, a2, a1); }},
       {Op::kAmoswapW, 0x08c5a52f, "amoswap.w a0, a2, (a1)",
        [](Assembler& a) {
@@ -394,7 +414,7 @@ TEST(IsaTableTest, GoldenEncodings) {
        [](Assembler& a) {
          a.AmomaxuW(t4, t5, t6);
        }},
-      {Op::kLrD, 0x1005b52f, "lr.d a0, zero, (a1)", [](Assembler& a) { a.LrD(a0, a1); }},
+      {Op::kLrD, 0x1005b52f, "lr.d a0, (a1)", [](Assembler& a) { a.LrD(a0, a1); }},
       {Op::kScD, 0x18c5b52f, "sc.d a0, a2, (a1)", [](Assembler& a) { a.ScD(a0, a2, a1); }},
       {Op::kAmoswapD, 0x08c5b52f, "amoswap.d a0, a2, (a1)",
        [](Assembler& a) {

@@ -385,6 +385,39 @@ TEST_F(SimTest, DecodeCacheHitsOnReexecution) {
   EXPECT_EQ(hart_->gpr(5), 1u);
 }
 
+TEST_F(SimTest, CodeOneCacheWindowApartKeepsDecodesAndBlocks) {
+  // The firmware and the OS lie a multiple of every code-cache window apart, so a
+  // trap round trip runs code at equal offsets within the window. Calls back and
+  // forth between two such pieces of code must not evict each other's decodes or
+  // blocks: after the cold iterations, misses stay flat however long the loop runs.
+  const uint64_t window = uint64_t{4} * SimTuning{}.decode_cache_entries;
+  Assembler a(kRam);
+  a.Bind("loop");
+  a.Call("far");
+  a.Addi(t1, t1, 1);
+  a.J("loop");
+  a.Align(static_cast<unsigned>(window));
+  ASSERT_EQ(a.pc(), kRam + window);
+  a.Bind("far");
+  a.Addi(t2, t2, 1);
+  a.Ret();
+  const Image image = std::move(a.Finish()).value();
+  machine_->LoadImage(image.base, image.bytes);
+  hart_->set_pc(kRam);
+  constexpr uint64_t kIterationInstrs = 5;
+  hart_->RunBatch(10 * kIterationInstrs, ~uint64_t{0});  // decodes and builds everything
+  const uint64_t decode_misses = hart_->decode_cache_misses();
+  const uint64_t block_misses = hart_->superblock_misses();
+  uint64_t iterations = 10;
+  for (const uint64_t more : {100u, 1000u, 10000u}) {
+    hart_->RunBatch(more * kIterationInstrs, ~uint64_t{0});
+    iterations += more;
+    EXPECT_EQ(hart_->gpr(t1), iterations);
+    EXPECT_EQ(hart_->decode_cache_misses(), decode_misses) << iterations << " iterations";
+    EXPECT_EQ(hart_->superblock_misses(), block_misses) << iterations << " iterations";
+  }
+}
+
 TEST_F(SimTest, StoreIntoExecutedPageInvalidatesDecodeCache) {
   hart_->set_pc(kRam);
   Exec(0x00100293);  // addi t0, zero, 1 — executed, so its page is now tracked
