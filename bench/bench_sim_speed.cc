@@ -93,12 +93,30 @@ void BM_WorldSwitchPath(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldSwitchPath)->Unit(benchmark::kMicrosecond);
 
+// An M-mode owner that leaves every trap to the guest's own handler. Installing any
+// owner shortens the quantum horizon to one mtime tick (the monitor reads the stored
+// mtime between quanta), so with it the quantum loop pays its per-quantum cost as
+// often as it does under the monitor.
+class NoopOwner final : public MmodeOwner {
+ public:
+  void OnMachineTrap(Hart&) override {}
+};
+
+// One multi-hart throughput run: aggregate MIPS, and the quanta and rounds the
+// measured part ran (0 quanta on the timeshared loop).
+struct MultiHartRun {
+  double mips = 0;
+  double seconds = 0;
+  uint64_t quanta = 0;
+  uint64_t rounds = 0;
+};
+
 // Boots an N-hart native system whose harts all run an endless compute loop under
 // the given multi-hart scheduling mode, and returns aggregate wall-clock MIPS.
 // Timeshared (no tuning) is the per-instruction round-robin loop; quantum is the
 // deterministic quantum schedule run serially; parallel is the same schedule with
-// one host thread per hart (DESIGN.md §2i).
-double MeasureMultiHartMips(unsigned harts, bool quantum, bool parallel) {
+// one host thread per hart (DESIGN.md §2i). `owned` installs a NoopOwner after boot.
+MultiHartRun MeasureMultiHart(unsigned harts, bool quantum, bool parallel, bool owned = false) {
   PlatformProfile profile = MakePlatform(PlatformKind::kVf2Sim, harts, false);
   profile.machine.tuning.quantum_harts = quantum;
   profile.machine.tuning.parallel_harts = parallel;
@@ -119,16 +137,26 @@ double MeasureMultiHartMips(unsigned harts, bool quantum, bool parallel) {
   System system = BootSystem(profile, DeployMode::kNative, kb.Finish());
   // Boot, bring every secondary online, and settle into the loops.
   system.machine->RunUntilFinished(2'000'000);
+  NoopOwner owner;
+  if (owned) {
+    system.machine->SetMmodeOwner(&owner);
+  }
   // The timeshared loop steps per instruction and is ~an order of magnitude slower;
   // give it a smaller measured budget so the bench stays quick.
   const uint64_t measured = (quantum || parallel) ? 200'000'000 : 40'000'000;
   const uint64_t start = system.machine->total_instret();
+  const uint64_t start_quanta = system.machine->quanta();
+  const uint64_t start_rounds = system.machine->progress().rounds;
   const auto t0 = std::chrono::steady_clock::now();
   system.machine->RunUntilFinished(measured);
   const auto t1 = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  MultiHartRun run;
+  run.seconds = std::chrono::duration<double>(t1 - t0).count();
   const uint64_t instructions = system.machine->total_instret() - start;
-  return seconds > 0 ? static_cast<double>(instructions) / seconds / 1e6 : 0.0;
+  run.mips = run.seconds > 0 ? static_cast<double>(instructions) / run.seconds / 1e6 : 0.0;
+  run.quanta = system.machine->quanta() - start_quanta;
+  run.rounds = system.machine->progress().rounds - start_rounds;
+  return run;
 }
 
 // Memory-traffic workload: the kernel's read-modify-write sweep loop, under Sv39
@@ -273,13 +301,16 @@ void WriteSimSpeedJson() {
   // Multi-hart throughput matrix: the deterministic quantum schedule, serial and
   // parallel, against the per-instruction timeshared loop at 4 harts (the CI gate
   // compares parallel against timeshared at equal hart count).
-  const double mips_timeshared_4h = MeasureMultiHartMips(4, false, false);
-  const double mips_quantum_2h = MeasureMultiHartMips(2, true, false);
-  const double mips_quantum_4h = MeasureMultiHartMips(4, true, false);
-  const double mips_quantum_8h = MeasureMultiHartMips(8, true, false);
-  const double mips_parallel_2h = MeasureMultiHartMips(2, false, true);
-  const double mips_parallel_4h = MeasureMultiHartMips(4, false, true);
-  const double mips_parallel_8h = MeasureMultiHartMips(8, false, true);
+  const double mips_timeshared_4h = MeasureMultiHart(4, false, false).mips;
+  const double mips_quantum_2h = MeasureMultiHart(2, true, false).mips;
+  const double mips_quantum_4h = MeasureMultiHart(4, true, false).mips;
+  const double mips_quantum_8h = MeasureMultiHart(8, true, false).mips;
+  const double mips_parallel_2h = MeasureMultiHart(2, false, true).mips;
+  const double mips_parallel_4h = MeasureMultiHart(4, false, true).mips;
+  const double mips_parallel_8h = MeasureMultiHart(8, false, true).mips;
+  // The per-quantum cost: the 4-hart quantum loop with an owner installed, so every
+  // quantum ends at the next mtime tick, as it does under the monitor.
+  const MultiHartRun owned_4h = MeasureMultiHart(4, true, false, /*owned=*/true);
 
   JsonResultWriter json("sim_speed");
   json.Add("instructions_retired", static_cast<double>(instructions));
@@ -320,6 +351,14 @@ void WriteSimSpeedJson() {
   json.Add("mips_parallel_2h", mips_parallel_2h);
   json.Add("mips_parallel_4h", mips_parallel_4h);
   json.Add("mips_parallel_8h", mips_parallel_8h);
+  json.Add("mips_quantum_4h_owned", owned_4h.mips);
+  json.Add("quanta", static_cast<double>(owned_4h.quanta));
+  json.Add("rounds_per_quantum", owned_4h.quanta > 0 ? static_cast<double>(owned_4h.rounds) /
+                                                         static_cast<double>(owned_4h.quanta)
+                                                   : 0.0);
+  json.Add("ns_per_quantum", owned_4h.quanta > 0 ? owned_4h.seconds * 1e9 /
+                                                     static_cast<double>(owned_4h.quanta)
+                                               : 0.0);
   json.Add("parallel_per_hart_mips_4h", mips_parallel_4h / 4.0);
   json.Add("parallel_speedup_4h",
            mips_timeshared_4h > 0 ? mips_parallel_4h / mips_timeshared_4h : 0.0);

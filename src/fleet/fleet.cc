@@ -108,8 +108,9 @@ void FleetManager::EnsureTemplate() {
   // per-hart host caches (behaviour-invisible; DESIGN.md §2b) from their
   // single-machine defaults. The server's hot code (~340 instructions on two pages:
   // the firmware's trap path and the kernel's loop) fits 4096 decode slots without
-  // conflict. Its ~63 blocks share 128 block slots with some conflicts: 512 slots
-  // would rebuild ~230 fewer blocks per machine but raise the fleet's peak RSS ~7%.
+  // conflict. Its ~63 blocks share 128 block slots with conflicts: at 64 requests
+  // per machine each machine builds ~2,000 blocks, where 512 slots would build the
+  // 63 once, but 512 slots raise the fleet's peak RSS ~7%.
   platform_.machine.tuning.decode_cache_entries = 4096;
   platform_.machine.tuning.superblock_entries = 128;
   platform_.machine.tuning.tlb_entries = 1024;

@@ -42,6 +42,13 @@ Hart::Hart(unsigned index, Bus* bus, const HartIsaConfig& isa, const CostModel* 
                   "the block tier needs a cost model with instr_base >= 1");
     pending_sb_entries_ = RoundUpPow2(tuning.superblock_entries);
   }
+  // A tick charges one instruction's cost (at most three terms: instr_base +
+  // 2 * instr_mem) plus the replayed walks of its fetch and data accesses (at most
+  // nine levels), so with every term below 2^27 the charge fits StepResult::cycles.
+  VFM_CHECK_MSG(std::max({cost->instr_base, cost->instr_muldiv, cost->instr_mem, cost->trap_entry,
+                          cost->page_walk_level, cost->hal_csr_access, cost->tlb_flush}) <
+                    (uint64_t{1} << 27),
+                "a cost-model term overflows a tick's 32-bit cycle charge");
 }
 
 void Hart::EnsureCaches() {
@@ -428,11 +435,11 @@ std::optional<uint64_t> Hart::PendingInterrupt() const {
 }
 
 StepResult Hart::TakeTrap(uint64_t cause, uint64_t tval) {
-  StepResult result;
+  StepResult result{};
   result.executed = true;
   result.trapped = true;
   result.trap_cause = cause;
-  result.cycles = cost_->trap_entry;
+  result.cycles = static_cast<uint32_t>(cost_->trap_entry);
   ++traps_taken_;
   waiting_ = false;
 
@@ -513,9 +520,9 @@ StepResult Hart::TakeTrap(uint64_t cause, uint64_t tval) {
 }
 
 StepResult Hart::Retire(uint64_t next_pc, uint64_t cycles) {
-  StepResult result;
+  StepResult result{};
   result.executed = true;
-  result.cycles = cycles;
+  result.cycles = static_cast<uint32_t>(cycles);
   pc_ = next_pc;
   return result;
 }
@@ -537,7 +544,7 @@ StepResult Hart::Tick() {
     if ((csrs_.EffectiveMip() & csrs_.mie()) != 0) {
       waiting_ = false;
     } else {
-      StepResult result;
+      StepResult result{};
       result.waiting = true;
       result.cycles = 1;
       csrs_.AddCycles(1);  // the clock keeps running while parked
@@ -566,7 +573,7 @@ StepResult Hart::Tick() {
       if (result.aborted) {
         return result;  // segment sync event: nothing retired, no cycles charged
       }
-      result.cycles += entry.extra_cycles;  // the original fetch's page-walk cost
+      result.cycles += static_cast<uint32_t>(entry.extra_cycles);  // the fetch's walk cost
       if (!result.trapped) {
         csrs_.AddInstret(1);
       }
@@ -622,7 +629,7 @@ StepResult Hart::Tick() {
   if (result.aborted) {
     return result;  // segment sync event: nothing retired, no cycles charged
   }
-  result.cycles += fetch.extra_cycles;
+  result.cycles += static_cast<uint32_t>(fetch.extra_cycles);
   if (!result.trapped) {
     csrs_.AddInstret(1);
   }
@@ -630,11 +637,14 @@ StepResult Hart::Tick() {
   return result;
 }
 
-Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
+const Hart::BatchResult& Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
   if (!caches_ready_) {
     EnsureCaches();
   }
-  BatchResult batch;
+  // Every exit below writes batch_.last: the final Tick's result, or the block
+  // exit's (ExecuteThreaded). Nothing of the previous batch may survive into it.
+  batch_.executed = 0;
+  batch_.retired = 0;
   const uint64_t mmio_start = bus_->mmio_ops();
   while (true) {
     // Block dispatch (DESIGN.md §2f). The gate re-establishes exactly the
@@ -670,17 +680,14 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
       // else: a barrier op heads no block; the Tick below runs it, and no lookup
       // was made to count.
       if (valid) {
-        const SbRun run = ExecuteThreaded(&sb, max_steps - batch.executed, stop_cycles);
-        batch.executed += run.dispatched;
-        batch.retired += run.dispatched - (run.last.trapped ? 1 : 0);
-        batch.last = run.last;
+        const SbExit exit = ExecuteThreaded(&sb, max_steps - batch_.executed, stop_cycles);
         // A misfit stopped short of every boundary with the next instruction still
         // due; it is the head of a fused op, so re-dispatching a block there would
         // misfit again. One Tick retires it and the loop re-checks the bounds.
-        if (!run.misfit) {
-          if (run.end_batch || batch.executed >= max_steps || csrs_.mcycle() >= stop_cycles ||
-              bus_->mmio_ops() != mmio_start) {
-            return batch;
+        if (exit != SbExit::kMisfit) {
+          if (exit == SbExit::kEndBatch || batch_.executed >= max_steps ||
+              csrs_.mcycle() >= stop_cycles || bus_->mmio_ops() != mmio_start) {
+            return batch_;
           }
           continue;
         }
@@ -688,17 +695,18 @@ Hart::BatchResult Hart::RunBatch(uint64_t max_steps, uint64_t stop_cycles) {
       // Cold decode-cache slot at pc_ (one per-instruction tick decodes it, after
       // which the next lookup can build the block), or a misfit continuation.
     }
-    batch.last = Tick();
-    if (batch.last.aborted) {
-      return batch;  // quantum sync event: the tick had no effect; barrier re-runs it
+    const StepResult last = Tick();
+    batch_.last = last;
+    if (last.aborted) {
+      return batch_;  // quantum sync event: the tick had no effect; barrier re-runs it
     }
-    ++batch.executed;
-    if (batch.last.executed && !batch.last.trapped) {
-      ++batch.retired;
+    ++batch_.executed;
+    if (last.executed && !last.trapped) {
+      ++batch_.retired;
     }
-    if (batch.last.trapped || batch.last.waiting || batch.executed >= max_steps ||
+    if (last.trapped || last.waiting || batch_.executed >= max_steps ||
         csrs_.mcycle() >= stop_cycles || bus_->mmio_ops() != mmio_start) {
-      return batch;
+      return batch_;
     }
   }
 }
@@ -949,8 +957,8 @@ void Hart::BuildFastMemCtx(FastMemCtx* ctx) const {
 #define VFM_THREADED_GOTO 0
 #endif
 
-Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left,
-                                  uint64_t stop_cycles, const void* const** table_out) {
+Hart::SbExit Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left,
+                                   uint64_t stop_cycles, const void* const** table_out) {
 #if VFM_THREADED_GOTO
   if (table_out != nullptr) {
     // Checked handlers first, then the unchecked set (same X-macro order), so
@@ -964,16 +972,16 @@ Hart::SbRun Hart::ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left
 #undef VFM_X
     };
     *table_out = kTable;
-    return {};
+    return SbExit::kContinue;
   }
 #else
   if (table_out != nullptr) {
     *table_out = nullptr;  // the switch fallback dispatches on ThreadedOp::kind
-    return {};
+    return SbExit::kContinue;
   }
 #endif
 
-  SbRun run;
+  SbExit exit = SbExit::kContinue;
   ++sb_blocks_;
   const uint64_t mmio_start = bus_->mmio_ops();
   FastMemCtx fm;
@@ -1213,19 +1221,19 @@ slow_mem: {
   if (r.aborted) {
     // Segment sync event: the op had no effect and is not counted; pc_ and the
     // counters were spilled exactly above, so the barrier re-runs it via Tick.
-    run.end_batch = true;
-    run.last = r;
+    batch_.last = r;
+    exit = SbExit::kEndBatch;
     goto exit_counted;
   }
-  r.cycles += mi.extra_cycles;  // the member's replayed fetch-walk cost
+  r.cycles += static_cast<uint32_t>(mi.extra_cycles);  // the member's fetch-walk cost
   if (!r.trapped) {
     csrs_.AddInstret(1);
   }
   csrs_.AddCycles(r.cycles);
   ++dispatched;
-  run.last = r;
+  batch_.last = r;
   if (r.trapped) {
-    run.end_batch = true;
+    exit = SbExit::kEndBatch;
     goto exit_counted;
   }
   spill_base = dispatched;  // the slow op's instret was added above
@@ -1237,7 +1245,7 @@ slow_mem: {
     if (stale) {
       ++threaded_deopts_;  // the store invalidated code this block may contain
     }
-    run.end_batch = mmio;
+    exit = mmio ? SbExit::kEndBatch : SbExit::kContinue;
     goto exit_counted;
   }
   climit = stop_cycles - cycles_base;  // > 0: checked just above
@@ -1251,7 +1259,7 @@ deopt_misfit:
   // A fused op would overshoot the batch budget: spill at its first member and hand
   // back to RunBatch, which Tick()s the members one at a time to the exact boundary.
   ++threaded_deopts_;
-  run.misfit = true;
+  exit = SbExit::kMisfit;
   pc = op->next_pc - uint64_t{4} * op->count;
   goto exit_spill;
 
@@ -1261,12 +1269,14 @@ exit_spill:
   pc_ = pc;
   csrs_.AddInstret(dispatched - spill_base);
   csrs_.AddCycles(cycles);
-  run.last.executed = true;
+  batch_.last = StepResult{};
+  batch_.last.executed = true;
 exit_counted:
-  run.dispatched = dispatched;
+  batch_.executed += dispatched;
+  batch_.retired += dispatched - (batch_.last.trapped ? 1 : 0);
   icache_hits_ += dispatched;
   sb_instrs_ += dispatched;
-  return run;
+  return exit;
 
 #undef VFM_TSTORE
 #undef VFM_TLOAD
@@ -1678,7 +1688,7 @@ StepResult Hart::ExecuteWfi(const DecodedInstr& d) {
 
 StepResult Hart::AbortSegment() {
   sync_pending_ = true;
-  StepResult result;
+  StepResult result{};
   result.aborted = true;
   return result;
 }

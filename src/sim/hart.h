@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -21,21 +22,31 @@
 namespace vfm {
 
 // Outcome of one hart tick, consumed by the machine for scheduling, statistics, and
-// the M-mode owner hook.
+// the M-mode owner hook. Every tick and block exit hands one back, so it stays a
+// trivially copyable 16-byte value that travels in two registers (DESIGN.md §2f,
+// "Results cross the hart boundary in registers or in place"). There are no default
+// member initializers: with them GCC builds a value in a stack temporary from narrow
+// stores and copies it out with wide loads, which stalls store-to-load forwarding.
+// Always value-initialize: `StepResult result{}` is all-zero.
 struct StepResult {
-  bool executed = false;      // an instruction retired (or an interrupt was taken)
-  bool waiting = false;       // hart is parked in WFI
-  bool trapped = false;       // a trap (exception or interrupt) was taken this tick
-  uint64_t trap_cause = 0;    // mcause-style value, valid when trapped
-  PrivMode trap_target = PrivMode::kMachine;  // where the trap vectored
-  bool entered_mmode = false;  // trap landed in M-mode: invoke the owner if installed
-  uint64_t cycles = 0;         // cycles charged for this tick
+  uint64_t trap_cause;   // mcause-style value, valid when trapped
+  uint32_t cycles;       // cycles charged for this tick (the Hart constructor bounds it)
+  PrivMode trap_target;  // where the trap vectored, valid when trapped
+  bool executed : 1;     // an instruction retired (or an interrupt was taken)
+  bool waiting : 1;      // hart is parked in WFI
+  bool trapped : 1;      // a trap (exception or interrupt) was taken this tick
+  bool entered_mmode : 1;  // trap landed in M-mode: invoke the owner if installed
   // Quantum-mode segments only (DESIGN.md §2i): the tick hit a sync event (MMIO,
   // AMO/LR/SC, fence.i) it cannot model privately and aborted with zero architectural
   // effect. The hart is parked sync-pending; the Machine re-runs the tick at the
   // barrier, where full bus access is restored.
-  bool aborted = false;
+  bool aborted : 1;
 };
+static_assert(std::is_trivially_copyable_v<StepResult>,
+              "StepResult is returned in registers (DESIGN.md §2f)");
+static_assert(sizeof(StepResult) <= 16,
+              "StepResult must fit two registers; a wider one is returned through "
+              "memory and re-read at every block exit (DESIGN.md §2f)");
 
 class Hart {
  public:
@@ -75,12 +86,15 @@ class Hart {
   // are exactly the points where the machine loop must run between instructions
   // (interrupt-line refresh, mtime advance, device ticks, trap delivery), which makes
   // batched execution cycle- and behaviour-identical to per-instruction stepping.
+  // The result is built in place in the hart, where every block exit writes it, and
+  // stays valid until the hart's next RunBatch.
   struct BatchResult {
     uint64_t executed = 0;  // ticks run, including the final one
     uint64_t retired = 0;   // instructions retired (executed ticks that did not trap)
-    StepResult last;        // result of the final tick
+    StepResult last{};      // result of the final tick, written by every batch
   };
-  BatchResult RunBatch(uint64_t max_steps, uint64_t stop_cycles);
+  const BatchResult& RunBatch(uint64_t max_steps, uint64_t stop_cycles);
+  const BatchResult& last_batch() const { return batch_; }
 
   // -- Quantum-mode segment execution (DESIGN.md §2i). ------------------------------
   // Between BeginSegment and EndSegment the hart executes privately: RAM is
@@ -367,14 +381,13 @@ class Hart {
     uint64_t store_ctx = 0;
   };
 
-  // Outcome of one block dispatch, consumed by RunBatch.
-  struct SbRun {
-    uint64_t dispatched = 0;  // ticks consumed (== instructions dispatched)
-    bool end_batch = false;   // batch must end (trap, WFI, MMIO, ...)
+  // How a block dispatch ended, for RunBatch's loop.
+  enum class SbExit : uint8_t {
+    kContinue,  // RunBatch re-checks its bounds and dispatches on
+    kEndBatch,  // the batch must end (trap, MMIO, segment abort)
     // A fused op did not fit the remaining budget: the hart is spilled at its first
     // member, which RunBatch must run through Tick() rather than re-dispatch.
-    bool misfit = false;
-    StepResult last;  // result of the final tick, RunBatch-compatible
+    kMisfit,
   };
 
   // Sum of the two global monotonic invalidation counters of decoded code: stores
@@ -481,10 +494,11 @@ class Hart {
   }
   // Executes a lowered block by direct handler dispatch, retiring up to steps_left
   // instructions or until stop_cycles, a trap, or a slow-path event ends the block or
-  // the batch. With `table_out` non-null, performs no execution and only returns the
-  // handler table (the computed-goto labels are local to this function).
-  SbRun ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
-                        const void* const** table_out = nullptr);
+  // the batch. Adds what it ran to batch_ and writes the final tick into batch_.last.
+  // With `table_out` non-null, performs no execution and only returns the handler
+  // table (the computed-goto labels are local to this function).
+  SbExit ExecuteThreaded(const SuperblockEntry* sb, uint64_t steps_left, uint64_t stop_cycles,
+                         const void* const** table_out = nullptr);
   void BuildFastMemCtx(FastMemCtx* ctx) const;
 
   // Allocates the configured translation-cache arrays on first execution. Harts are
@@ -535,6 +549,7 @@ class Hart {
   bool waiting_ = false;
   std::optional<uint64_t> reservation_;
   uint64_t traps_taken_ = 0;
+  BatchResult batch_;  // the current or last RunBatch's result, built in place
 
   // The translation caches below are arrays in cache_memory_, one zero-filled
   // mapping made by EnsureCaches: a hart commits host memory only for the slots its

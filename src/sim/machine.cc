@@ -360,7 +360,6 @@ void Machine::EnsurePool() {
     return;
   }
   pool_ = std::make_unique<WorkerPool>();
-  pool_->results.resize(hart_count());
   pool_->stops.resize(hart_count());
   for (unsigned i = 1; i < hart_count(); ++i) {
     pool_->threads.emplace_back([this, i] { WorkerMain(i); });
@@ -386,8 +385,7 @@ void Machine::WorkerMain(unsigned hart_index) {
     // The segment itself: this hart's private execution. Everything it shares with
     // other segments is read-only for the duration (RAM, devices, mtime), except the
     // bus's dependency page marks, which are monotonic relaxed-atomic set-bits.
-    Hart& hart = *harts_[hart_index];
-    pool.results[hart_index] = hart.RunBatch(batch, stop);
+    harts_[hart_index]->RunBatch(batch, stop);  // the result stays in the hart
     {
       std::lock_guard<std::mutex> lock(pool.mutex);
       ++pool.done;
@@ -698,7 +696,7 @@ bool Machine::RunUntilFinishedInner(uint64_t max_instructions, uint64_t max_roun
             cmp > ~uint64_t{0} / tick_cycles ? ~uint64_t{0} : cmp * tick_cycles;
       }
     }
-    const Hart::BatchResult batch = hart.RunBatch(n, stop_cycles);
+    const Hart::BatchResult& batch = hart.RunBatch(n, stop_cycles);
     rounds += batch.executed;
     retired += batch.retired;
     lifetime_rounds_ += batch.executed;
@@ -793,13 +791,7 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
       }
     }
   };
-  std::vector<Hart::BatchResult> serial_results;
-  std::vector<uint64_t> serial_stops;
-  if (!parallel) {
-    serial_results.resize(hart_count());
-  }
-  serial_stops.resize(hart_count());
-  std::vector<Hart::BatchResult>& results = parallel ? pool_->results : serial_results;
+  std::vector<uint64_t> serial_stops(hart_count());
   std::vector<uint64_t>& stops = parallel ? pool_->stops : serial_stops;
   std::vector<uint64_t> hart_rounds(hart_count());
 
@@ -882,12 +874,12 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
         ++pool.epoch;
       }
       pool.work_cv.notify_all();
-      results[0] = harts_[0]->RunBatch(n, stops[0]);
+      harts_[0]->RunBatch(n, stops[0]);
       std::unique_lock<std::mutex> lock(pool.mutex);
       pool.done_cv.wait(lock, [&] { return pool.done == hart_count() - 1; });
     } else {
       for (unsigned i = 0; i < hart_count(); ++i) {
-        results[i] = harts_[i]->RunBatch(n, stops[i]);
+        harts_[i]->RunBatch(n, stops[i]);
       }
     }
     segment_in_flight_ = false;
@@ -901,8 +893,8 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
       hart->ApplySegmentStores();
     }
     // (b) Segment-final traps replay their observer/owner callbacks.
-    for (unsigned i = 0; i < hart_count(); ++i) {
-      handle_trap(*harts_[i], results[i].last);
+    for (auto& hart : harts_) {
+      handle_trap(*hart, hart->last_batch().last);
     }
     // (c) Harts whose segment ended early — a sync-event abort (MMIO, AMO/LR/SC,
     //     fence.i, a non-RAM page walk) or a trap — finish their quantum serially
@@ -915,13 +907,15 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
     uint64_t quantum_rounds = 0;
     for (unsigned i = 0; i < hart_count(); ++i) {
       Hart& hart = *harts_[i];
-      uint64_t hr = results[i].executed;
-      retired += results[i].retired;
-      lifetime_retired_ += results[i].retired;
-      if (hart.ConsumeSyncPending() || results[i].last.trapped) {
+      const Hart::BatchResult& segment = hart.last_batch();
+      uint64_t hr = segment.executed;
+      retired += segment.retired;
+      lifetime_retired_ += segment.retired;
+      if (hart.ConsumeSyncPending() || segment.last.trapped) {
+        // Each continuation overwrites `segment`, which is read no further.
         while (hr < n && hart.cycles() < stops[i] && !hart.waiting() &&
                !finisher_->finished()) {
-          const Hart::BatchResult cont = hart.RunBatch(n - hr, stops[i]);
+          const Hart::BatchResult& cont = hart.RunBatch(n - hr, stops[i]);
           hr += cont.executed;
           retired += cont.retired;
           lifetime_retired_ += cont.retired;
@@ -945,6 +939,7 @@ bool Machine::RunQuantumLoop(uint64_t max_instructions, uint64_t max_rounds,
     // the 4x round bound keeps its per-instruction meaning for the busiest hart.
     rounds += quantum_rounds;
     lifetime_rounds_ += quantum_rounds;
+    ++quanta_;
     // (d) Timebase and device ticks, from hart 0's clock, exactly as StepAll does.
     if (tick_cycles != 0) {
       const uint64_t ticks_due = harts_[0]->cycles() / tick_cycles;

@@ -272,6 +272,9 @@ class Machine {
   // saved values), so the (retired, round) coordinate system traces are stamped
   // with survives a save/restore split.
   RunProgress progress() const { return {lifetime_retired_, lifetime_rounds_}; }
+  // Quanta the quantum schedule (DESIGN.md §2i) has run on this machine. Reporting
+  // only: no snapshot, replay coordinate or signature includes it.
+  uint64_t quanta() const { return quanta_; }
 
   static constexpr uint64_t kDefaultHashPeriodRounds = 2048;
 
@@ -391,7 +394,6 @@ class Machine {
     uint64_t batch = 0;  // segment instruction cap this quantum
     bool shutdown = false;
     std::vector<uint64_t> stops;  // per-hart absolute stop cycle, indexed by hart
-    std::vector<Hart::BatchResult> results;  // indexed by hart
     std::vector<std::thread> threads;
   };
   void EnsurePool();
@@ -431,6 +433,7 @@ class Machine {
   // asserts point here during the quantum loop (written only at serial points; the
   // pool's mutex handoff publishes it to workers).
   bool segment_in_flight_ = false;
+  uint64_t quanta_ = 0;  // see quanta()
 };
 
 }  // namespace vfm

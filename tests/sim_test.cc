@@ -750,6 +750,98 @@ TEST_F(SuperblockTest, BarrierHeadIsNotCountedAsMiss) {
   EXPECT_EQ(hart_->gpr(t1), 1010u);
 }
 
+// RunBatch builds its result in place, in the hart, so every batch must overwrite
+// all of the last one's final tick. Both tests run a batch that ends in an M-mode
+// ecall and then one that stops on its budget inside a lowered block: the second
+// must not report the first one's trap.
+void EmitEcallThenLoop(Assembler& a) {
+  a.La(t0, "handler");  // auipc + addi
+  a.Csrw(kCsrMtvec, t0);
+  a.Ecall();
+  a.Bind("handler");
+  a.Addi(s2, s2, 1);
+  a.J("handler");
+}
+
+void ExpectNoTrapReported(const Hart::BatchResult& batch) {
+  EXPECT_TRUE(batch.last.executed);
+  EXPECT_FALSE(batch.last.trapped);
+  EXPECT_FALSE(batch.last.entered_mmode);
+  EXPECT_FALSE(batch.last.aborted);
+  EXPECT_FALSE(batch.last.waiting);
+  EXPECT_EQ(batch.last.trap_cause, 0u);
+}
+
+TEST_F(SuperblockTest, BatchAfterTrapReportsNoStaleTrap) {
+  Assembler a(kRam);
+  EmitEcallThenLoop(a);
+  const Image image = std::move(a.Finish()).value();
+  machine_->LoadImage(image.base, image.bytes);
+  const uint64_t handler = kRam + 16;
+  hart_->set_pc(handler);
+  hart_->RunBatch(20, ~uint64_t{0});  // decodes the loop and builds its block
+
+  hart_->set_pc(kRam);
+  const Hart::BatchResult& batch = hart_->RunBatch(100, ~uint64_t{0});
+  ASSERT_EQ(&batch, &hart_->last_batch());
+  ASSERT_EQ(batch.executed, 4u);
+  ASSERT_TRUE(batch.last.trapped);
+  ASSERT_TRUE(batch.last.entered_mmode);
+  ASSERT_EQ(batch.last.trap_cause, CauseValue(ExceptionCause::kEcallFromM));
+  ASSERT_EQ(hart_->pc(), handler);
+
+  const uint64_t block_instrs = hart_->superblock_instrs();
+  hart_->RunBatch(50, ~uint64_t{0});
+  EXPECT_EQ(batch.executed, 50u);
+  EXPECT_EQ(batch.retired, 50u);
+  EXPECT_EQ(hart_->superblock_instrs(), block_instrs + 50);  // every tick in the block
+  ExpectNoTrapReported(batch);
+}
+
+TEST(QuantumBatchResultTest, QuantumAfterTrapReportsNoStaleTrap) {
+  // Four-tick quanta. Ticks 1-5 set up, 6-11 run a counting loop three times (from
+  // tick 8 as a lowered block), and tick 12, the last of the third quantum, is an
+  // ecall that vectors back into the loop. The fourth quantum runs wholly in the
+  // block. A trap result left over from the third would replay the trap at the
+  // fourth barrier.
+  for (const bool parallel : {false, true}) {
+    MachineConfig config;
+    config.hart_count = 2;
+    config.tuning.quantum_harts = !parallel;
+    config.tuning.parallel_harts = parallel;
+    config.tuning.max_batch_instructions = 4;
+    Machine machine(config);
+    Assembler a(kRam);
+    a.La(t0, "loop");
+    a.Csrw(kCsrMtvec, t0);
+    a.Li(s3, 3);
+    a.Li(s2, 0);
+    a.Bind("loop");
+    a.Addi(s2, s2, 1);
+    a.Bne(s2, s3, "loop");
+    a.Ecall();
+    const Image image = std::move(a.Finish()).value();
+    machine.LoadImage(image.base, image.bytes);
+    uint64_t observed[2] = {};
+    machine.SetTrapObserver([&](const Hart& hart, const StepResult& result) {
+      EXPECT_TRUE(result.trapped);
+      ++observed[hart.index()];
+    });
+    // Each hart retires 11 instructions in the first three quanta (the ecall retires
+    // nothing) and 4 in the fourth, so a budget of 23 stops at the fourth barrier.
+    machine.RunUntilFinished(23);
+    EXPECT_EQ(machine.quanta(), 4u) << "parallel=" << parallel;
+    for (unsigned i = 0; i < 2; ++i) {
+      const Hart& hart = machine.hart(i);
+      EXPECT_EQ(hart.traps_taken(), 1u);
+      EXPECT_EQ(observed[i], 1u) << "hart " << i << " parallel=" << parallel;
+      EXPECT_EQ(hart.last_batch().executed, 4u);
+      EXPECT_EQ(hart.gpr(s2), 5u);
+      ExpectNoTrapReported(hart.last_batch());
+    }
+  }
+}
+
 TEST(SuperblockMachineTest, SelfModifyingLoopMatchesPerInstruction) {
   // A loop that patches its own body between passes: with the block engine on, the
   // store lands while a cached superblock over the loop is live. The patched
